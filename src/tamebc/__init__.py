@@ -54,7 +54,6 @@ from .dvr import (
     TruncSeries,
     cokernel_d_jumps_oracle,
     eisenstein_rescale,
-    series_ops,
     smith_normal_form,
 )
 from .motivic import (

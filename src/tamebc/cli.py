@@ -22,7 +22,6 @@ from .dvr import (
     DVRConfig,
     EisensteinPoly,
     TameContext,
-    TruncSeries,
     cokernel_d_jumps_oracle,
 )
 from .errors import DomainError, SpecFileError
@@ -106,10 +105,7 @@ def _gluing_arg(args) -> "GluingSpec":
     if args.gluing == "wild-point":
         if args.eisenstein is None:
             raise SpecFileError("wild-point gluing needs --eisenstein EXPR")
-        coeffs = specfile.parse_okt_expr(args.eisenstein, config)
-        if not coeffs or coeffs[-1] != TruncSeries.one(config):
-            raise SpecFileError("eisenstein polynomial must be monic")
-        return WildPointGluing(algebra, EisensteinPoly(coeffs[:-1], config))
+        return WildPointGluing(algebra, specfile.parse_eisenstein(args.eisenstein, config))
     raise SpecFileError(f"unknown gluing {args.gluing!r}")
 
 
@@ -168,10 +164,11 @@ def _cmd_oracle(args, out):
     precision = args.precision or _env_int("TAMEBC_PRECISION", DEFAULT_PRECISION)
     config = DVRConfig(args.p, precision)
     if args.eisenstein:
-        coeffs = specfile.parse_okt_expr(args.eisenstein, config)
-        if not coeffs or coeffs[-1] != TruncSeries.one(config):
-            raise SpecFileError("eisenstein polynomial must be monic")
-        poly = EisensteinPoly(coeffs[:-1], config)
+        poly = specfile.parse_eisenstein(args.eisenstein, config)
+        if poly.degree != args.n:
+            raise SpecFileError(
+                f"--n {args.n} contradicts the degree {poly.degree} of --eisenstein"
+            )
     else:
         poly = EisensteinPoly.pure(args.n, config)
     ctx = TameContext(args.d, config)

@@ -22,11 +22,23 @@ available for d = 1 mod n, where an explicit integral model exists).
 Precision policy: the truncation order N is fixed per configuration
 (default 64) and operations raise ``PrecisionExhausted`` instead of
 silently returning undetermined valuations.
+
+Representation: ``TruncSeries.coeffs`` is a tuple of exactly N ``int``s
+in [0, p).  The public constructor establishes this invariant; the ring
+operations rely on it and build results through a trusted constructor.
+Products use Kronecker substitution (Harvey, arXiv:0712.4046): pack both
+operands into one integer with slots of 2*bitlen(p-1) + bitlen(N) bits or
+more, multiply once, read the low N slots back mod p.  Unit division
+multiplies by an inverse from Newton iteration g <- g*(2 - u*g) (von zur
+Gathen and Gerhard, *Modern Computer Algebra*, section 9.1).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from array import array
+from dataclasses import dataclass, field
+from itertools import islice
 from math import gcd
 
 from . import _intmat
@@ -46,7 +58,6 @@ __all__ = [
     "TameContext",
     "EisensteinPoly",
     "ElemDivisors",
-    "series_ops",
     "eisenstein_rescale",
     "smith_normal_form",
     "cokernel_d_jumps_oracle",
@@ -55,19 +66,45 @@ __all__ = [
 DEFAULT_PRECISION = 64
 
 
+# Miller-Rabin with the first 13 prime bases is deterministic below this
+# bound (Sorenson and Webster, Math. Comp. 86 (2017)).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    if n >= _MR_BOUND:
+        raise SpecInvariantViolation(f"{n} is beyond the primality bound {_MR_BOUND}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
-        f += 2
     return True
+
+
+# array typecodes by byte size; big-endian hosts pack with int.to_bytes
+_SLOT_CODES = {array(c).itemsize: c for c in "QIH"} if sys.byteorder == "little" else {}
+
+
+def _kernel_slots(p: int, n: int):
+    """(array typecode or None, bytes) of a slot: n terms below (p-1)^2 fit."""
+    need = (2 * (p - 1).bit_length() + n.bit_length() + 7) // 8
+    size = min((k for k in _SLOT_CODES if k >= need), default=need)
+    return _SLOT_CODES.get(size), size
 
 
 @dataclass(frozen=True)
@@ -76,39 +113,91 @@ class DVRConfig:
 
     p: int
     precision: int = DEFAULT_PRECISION
+    _slots: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not _is_prime(self.p):
             raise SpecInvariantViolation(f"residue characteristic {self.p} is not prime")
         if self.precision < 2:
             raise SpecInvariantViolation("precision must be at least 2")
+        object.__setattr__(self, "_slots", _kernel_slots(self.p, self.precision))
+
+
+def _pack(coeffs, slots) -> int:
+    """One integer holding coeffs[i] in slot i (little-endian slots)."""
+    code, size = slots
+    if code:
+        return int.from_bytes(array(code, coeffs).tobytes(), "little")
+    return int.from_bytes(b"".join([c.to_bytes(size, "little") for c in coeffs]), "little")
+
+
+def _unpack(value: int, count: int, slots, p: int) -> list:
+    """The low ``count`` slots of ``value``, each reduced mod p."""
+    code, size = slots
+    raw = (value & ((1 << (8 * size * count)) - 1)).to_bytes(size * count, "little")
+    if code:
+        return [c % p for c in array(code, raw)]
+    return [int.from_bytes(raw[i:i + size], "little") % p for i in range(0, len(raw), size)]
+
+
+def _product(a, b, config: DVRConfig) -> tuple:
+    """Coefficients of a*b mod pi^N by one Kronecker-substituted multiply."""
+    s = config._slots
+    return tuple(_unpack(_pack(a, s) * _pack(b, s), config.precision, s, config.p))
+
+
+def _inverse(u, config: DVRConfig) -> list:
+    """Coefficients of 1/u mod pi^N for a unit u, by Newton iteration.
+
+    If g = 1/u mod pi^k, then u*g = 1 + pi^k*h mod pi^m (m = 2k) and the
+    step g <- g*(2 - u*g) appends the m - k coefficients of -g*h mod
+    pi^(m-k) to g.  Slot j of a packed product only involves coefficients
+    up to j, so neither u nor g needs truncating before a multiply.
+    """
+    p, n, slots = config.p, config.precision, config._slots
+    bits = 8 * slots[1]
+    packed_u = _pack(u, slots)
+    g = [pow(u[0], -1, p)]
+    k = 1
+    while k < n:
+        m = min(2 * k, n)
+        packed_g = _pack(g, slots)
+        h = _unpack((packed_u * packed_g) >> (bits * k), m - k, slots, p)
+        gh = _unpack(packed_g * _pack(h, slots), m - k, slots, p)
+        g += [-c % p for c in gh]
+        k = m
+    return g
 
 
 class TruncSeries:
-    """Element of F_p[[pi]] / pi^N, stored as N coefficients mod p."""
+    """Element of F_p[[pi]] / pi^N, stored as N coefficients mod p.
+
+    Invariant: ``coeffs`` is a tuple of exactly N ``int``s in [0, p).  The
+    constructor truncates, pads and reduces any iterable of ``int``s into
+    that form, and raises ``SpecInvariantViolation`` on other coefficients.
+    """
 
     __slots__ = ("coeffs", "config")
 
     def __init__(self, coeffs, config: DVRConfig):
-        n = config.precision
         p = config.p
-        data = [0] * n
-        for i, c in enumerate(coeffs):
-            if i >= n:
-                break
-            data[i] = c % p
-        self.coeffs = tuple(data)
+        data = []
+        for c in islice(coeffs, config.precision):
+            if not isinstance(c, int):
+                raise SpecInvariantViolation(f"coefficient {c!r} is not an integer")
+            data.append(c % p)
+        self.coeffs = tuple(data) + (0,) * (config.precision - len(data))
         self.config = config
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, config: DVRConfig) -> "TruncSeries":
-        return cls((), config)
+        return _series((0,) * config.precision, config)
 
     @classmethod
     def one(cls, config: DVRConfig) -> "TruncSeries":
-        return cls((1,), config)
+        return _series((1,) + (0,) * (config.precision - 1), config)
 
     @classmethod
     def from_int(cls, value: int, config: DVRConfig) -> "TruncSeries":
@@ -149,30 +238,25 @@ class TruncSeries:
 
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
         self._check_config(other)
-        return TruncSeries(
-            (a + b for a, b in zip(self.coeffs, other.coeffs)), self.config
+        p = self.config.p
+        return _series(
+            tuple([(a + b) % p for a, b in zip(self.coeffs, other.coeffs)]), self.config
         )
 
     def __neg__(self) -> "TruncSeries":
-        return TruncSeries((-a for a in self.coeffs), self.config)
+        p = self.config.p
+        return _series(tuple([-a % p for a in self.coeffs]), self.config)
 
     def __sub__(self, other: "TruncSeries") -> "TruncSeries":
-        return self + (-other)
+        self._check_config(other)
+        p = self.config.p
+        return _series(
+            tuple([(a - b) % p for a, b in zip(self.coeffs, other.coeffs)]), self.config
+        )
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         self._check_config(other)
-        n = self.config.precision
-        p = self.config.p
-        out = [0] * n
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if i + j >= n:
-                    break
-                if b:
-                    out[i + j] = (out[i + j] + a * b) % p
-        return TruncSeries(out, self.config)
+        return _series(_product(self.coeffs, other.coeffs, self.config), self.config)
 
     def unit_divide(self, other: "TruncSeries") -> "TruncSeries":
         """Exact division by a unit of the ring."""
@@ -181,24 +265,14 @@ class TruncSeries:
             raise NonUnitDivisor(
                 f"divisor has valuation {other.valuation} > 0"
             )
-        n = self.config.precision
-        p = self.config.p
-        inv0 = pow(other.coeffs[0], -1, p)
-        out = [0] * n
-        for i in range(n):
-            acc = self.coeffs[i]
-            for j in range(1, i + 1):
-                b = other.coeffs[j]
-                if b:
-                    acc -= b * out[i - j]
-            out[i] = (acc * inv0) % p
-        return TruncSeries(out, self.config)
+        inverse = _inverse(other.coeffs, self.config)
+        return _series(_product(self.coeffs, inverse, self.config), self.config)
 
     def shift_up(self, k: int) -> "TruncSeries":
         """Multiply by pi^k."""
         if k < 0:
             raise SpecInvariantViolation("shift_up needs k >= 0")
-        return TruncSeries((0,) * k + self.coeffs, self.config)
+        return _series(((0,) * k + self.coeffs)[: self.config.precision], self.config)
 
     def shift_down(self, k: int) -> "TruncSeries":
         """Exact division by pi^k; the low k coefficients must vanish.
@@ -213,7 +287,7 @@ class TruncSeries:
             raise SpecInvariantViolation(
                 f"series with valuation {self.valuation} is not divisible by pi^{k}"
             )
-        return TruncSeries(self.coeffs[k:], self.config)
+        return _series((self.coeffs[k:] + (0,) * k)[: self.config.precision], self.config)
 
     def exact_divide(self, other: "TruncSeries") -> "TruncSeries":
         """Divide by pi^v * unit where v is the divisor's valuation."""
@@ -250,15 +324,12 @@ class TruncSeries:
         return " + ".join(parts)
 
 
-def series_ops(a: TruncSeries, b: TruncSeries, kind: str) -> TruncSeries:
-    """Dispatch helper mirroring the operator API by name."""
-    if kind == "add":
-        return a + b
-    if kind == "mul":
-        return a * b
-    if kind == "unit-divide":
-        return a.unit_divide(b)
-    raise SpecInvariantViolation(f"unknown series operation {kind!r}")
+def _series(coeffs: tuple, config: DVRConfig) -> TruncSeries:
+    """Trusted constructor: ``coeffs`` already satisfies the invariant."""
+    s = object.__new__(TruncSeries)
+    s.coeffs = coeffs
+    s.config = config
+    return s
 
 
 @dataclass(frozen=True)
@@ -287,10 +358,8 @@ class TameContext:
             raise ConfigMismatch("series does not live over the context base")
         n = self.base.precision
         out = [0] * n
-        for i, c in enumerate(s.coeffs):
-            if c and i * self.d < n:
-                out[i * self.d] = c
-        return TruncSeries(out, self.extension_config)
+        out[:: self.d] = s.coeffs[: (n - 1) // self.d + 1]
+        return _series(tuple(out), self.extension_config)
 
     def uniformizer(self, power: int = 1) -> TruncSeries:
         return TruncSeries.uniformizer(self.extension_config, power)
@@ -416,15 +485,9 @@ def _check_matrix(M):
 
 
 def _min_valuation_position(M, top):
-    best = None
-    pos = None
-    for i in range(top, len(M)):
-        for j in range(top, len(M[0])):
-            v = M[i][j].valuation
-            if best is None or v < best:
-                best = v
-                pos = (i, j)
-    return best, pos
+    """(valuation, (i, j)) of the first entry of least valuation, row-major."""
+    rows, cols = range(top, len(M)), range(top, len(M[0]))
+    return min((M[i][j].valuation, (i, j)) for i in rows for j in cols)
 
 
 def smith_normal_form(M) -> ElemDivisors:

@@ -159,46 +159,10 @@ class MotivicPoly:
 
     # -- structure probes used by reduce and rendering --------------------
 
-    def content(self) -> int:
-        g = 0
-        for c in self.terms.values():
-            g = gcd(g, c)
-        return g
-
-    def substitute_L_one(self) -> "MotivicPoly":
-        out = {}
-        for (le, at), c in self.terms.items():
-            key = (0, at)
-            out[key] = out.get(key, 0) + c
-        return MotivicPoly(out)
-
     def divide_by_L_minus_one(self):
         """Return the exact quotient by (L - 1), or None if not divisible."""
-        groups = {}
-        for (le, at), c in self.terms.items():
-            groups.setdefault(at, {})[le] = c
-        quotient = {}
-        for at, by_le in groups.items():
-            top = max(by_le)
-            carry = 0
-            for le in range(top, 0, -1):
-                q = by_le.get(le, 0) + carry
-                if q:
-                    quotient[(le - 1, at)] = q
-                carry = q
-            if by_le.get(0, 0) + carry != 0:
-                return None
-        return MotivicPoly(quotient)
-
-    def divide_exact_int(self, k: int) -> "MotivicPoly":
-        if k == 0:
-            raise SpecInvariantViolation("division by zero")
-        out = {}
-        for key, c in self.terms.items():
-            if c % k != 0:
-                raise SpecInvariantViolation(f"coefficient {c} not divisible by {k}")
-            out[key] = c // k
-        return MotivicPoly(out)
+        q = _zpoly_div_l_minus_one({(0, le, at): c for (le, at), c in self.terms.items()})
+        return None if q is None else MotivicPoly({(le, at): c for (_, le, at), c in q.items()})
 
     def __repr__(self):
         return _render_terms(
@@ -412,7 +376,10 @@ class JacobianSpec:
     __slots__ = ("n", "p", "e_tilde", "abelian_jumps", "divisors")
 
     def __init__(self, n, p, e_tilde, abelian_jumps, divisors):
-        _purely_wild_degree_spec(n, p)
+        try:
+            _purely_wild_degree(n, p)
+        except NotPurelyWild as exc:
+            raise SpecInvariantViolation(f"wild {exc}") from None
         if e_tilde < 1:
             raise SpecInvariantViolation("stabilization index must be >= 1")
         if not isinstance(abelian_jumps, JumpMultiset):
@@ -423,7 +390,7 @@ class JacobianSpec:
                     f"jump {j} has denominator not dividing e_tilde={e_tilde}"
                 )
         e = lcm(e_tilde, n)
-        expected = {a for a in _divisors_of(e) if gcd(a, p) == 1}
+        expected = {a for a in range(1, e + 1) if e % a == 0 and gcd(a, p) == 1}
         table = {}
         for key, value in dict(divisors).items():
             if not isinstance(value, ToricDivisorData):
@@ -465,27 +432,6 @@ class JacobianSpec:
 
     def conductor(self) -> Fraction:
         return Fraction(self.n - 1, 2) + self.abelian_jumps.conductor()
-
-
-def _purely_wild_degree_spec(n, p):
-    # same arithmetic check as for the torus, but as a spec invariant
-    if not _is_prime(p):
-        raise SpecInvariantViolation(f"{p} is not prime")
-    m = n
-    if n < 2:
-        raise SpecInvariantViolation(f"wild degree {n} must be a power of {p}, > 1")
-    while m % p == 0:
-        m //= p
-    if m != 1:
-        raise SpecInvariantViolation(f"wild degree {n} is not a power of {p}")
-
-
-def _divisors_of(e: int):
-    out = []
-    for a in range(1, e + 1):
-        if e % a == 0:
-            out.append(a)
-    return out
 
 
 def jacobian_order(spec: JacobianSpec, alpha: int) -> int:

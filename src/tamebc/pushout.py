@@ -113,9 +113,6 @@ class PolyAlgebra:
                 out[i + j] = out[i + j] + a * b
         return self.polynomial(out)
 
-    def scale(self, s: TruncSeries, f):
-        return self.polynomial([s * c for c in f])
-
 
 class GluingSpec:
     """Base class of the two supported gluing descriptions."""
@@ -249,9 +246,9 @@ def _subring_generators(spec: GluingSpec, bound: int):
             )
         return gens
     if isinstance(spec, WildPointGluing):
-        p_poly = _eisenstein_as_poly(spec.eisenstein, algebra)
+        p_poly = _monic_poly(spec.eisenstein.coeffs, algebra)
     elif isinstance(spec, _LiftedWildGluing):
-        p_poly = _lifted_poly(spec)
+        p_poly = _monic_poly(spec.lifted_coeffs, algebra)
     else:
         raise SpecInvariantViolation(f"unknown gluing {spec!r}")
     n = len(p_poly) - 1
@@ -260,9 +257,9 @@ def _subring_generators(spec: GluingSpec, bound: int):
     return gens
 
 
-def _eisenstein_as_poly(P: EisensteinPoly, algebra: PolyAlgebra):
-    coeffs = list(P.coeffs) + [TruncSeries.one(algebra.config)]
-    return algebra.polynomial(coeffs)
+def _monic_poly(coeffs, algebra: PolyAlgebra):
+    """t^n + c_(n-1) t^(n-1) + ... + c_0 for coeffs c_0 .. c_(n-1)."""
+    return algebra.polynomial(list(coeffs) + [TruncSeries.one(algebra.config)])
 
 
 def _to_column(f, bound: int, cfg: DVRConfig):
@@ -461,13 +458,3 @@ class _LiftedWildGluing(GluingSpec):
 
     def __post_init__(self):
         object.__setattr__(self, "lifted_coeffs", tuple(self.lifted_coeffs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.lifted_coeffs)
-
-
-def _lifted_poly(spec: "_LiftedWildGluing"):
-    algebra = spec.algebra
-    coeffs = list(spec.lifted_coeffs) + [TruncSeries.one(algebra.config)]
-    return algebra.polynomial(coeffs)

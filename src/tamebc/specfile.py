@@ -214,6 +214,14 @@ def parse_okt_expr(text: str, config: DVRConfig):
     return _ExprParser(_tokenize(text), const, var).parse().coeffs
 
 
+def parse_eisenstein(text: str, config: DVRConfig) -> EisensteinPoly:
+    """Parse a monic Eisenstein polynomial written with 'pi' and 't'."""
+    coeffs = parse_okt_expr(text, config)
+    if not coeffs or coeffs[-1] != TruncSeries.one(config):
+        raise SpecFileError("eisenstein polynomial must be monic")
+    return EisensteinPoly(coeffs[:-1], config)
+
+
 # ---------------------------------------------------------------------------
 # line-level parsing
 # ---------------------------------------------------------------------------
@@ -400,10 +408,7 @@ def _parse_gluing_kind(fields: _Fields) -> GluingSpec:
         if style == "wild-point":
             if eis_text is None:
                 raise SpecFileError("wild-point gluing needs an eisenstein key")
-            coeffs = parse_okt_expr(eis_text, config)
-            if not coeffs or coeffs[-1] != TruncSeries.one(config):
-                raise SpecFileError("eisenstein polynomial must be monic")
-            return WildPointGluing(algebra, EisensteinPoly(coeffs[:-1], config))
+            return WildPointGluing(algebra, parse_eisenstein(eis_text, config))
         raise SpecFileError(f"unknown gluing kind {style!r}")
     except SpecInvariantViolation as exc:
         raise SpecFileError(str(exc)) from None

@@ -1,4 +1,7 @@
 import os
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -77,6 +80,22 @@ class TestBasicCommands:
             capsys, "oracle-cokernel", "--n", "3", "--d", "7", "--p", "2"
         )
         assert (code, out) == (0, "0, 2, 4\n")
+
+    def test_oracle_eisenstein_matching_degree(self, capsys):
+        code, out, err = invoke(
+            capsys, "oracle-cokernel", "--n", "3", "--d", "7", "--p", "2",
+            "--eisenstein", "t^3 - pi",
+        )
+        assert (code, out) == (0, "0, 2, 4\n")
+
+    def test_oracle_rejects_contradicting_degree(self, capsys):
+        code, out, err = invoke(
+            capsys, "oracle-cokernel", "--n", "5", "--d", "7", "--p", "2",
+            "--precision", "200", "--eisenstein", "t^3 - pi",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("SpecFileError")
+        assert "--n 5" in err and "degree 3" in err
 
     def test_isogeny_default(self, capsys):
         code, out, err = invoke(capsys, "isogeny")
@@ -223,3 +242,20 @@ class TestDeterminism:
         monkeypatch.setenv("TAMEBC_DEGREE_BOUND", "6")
         code, out, err = invoke(capsys, *args)
         assert (code, out) == (0, "member: true\n")
+
+
+README_EXAMPLES = re.findall(
+    r"^tamebc (.+?)\s+# (.+)$",
+    (Path(__file__).resolve().parent.parent / "README.md").read_text(),
+    re.MULTILINE,
+)
+
+
+class TestReadmeTranscript:
+    def test_examples_found(self):
+        assert len(README_EXAMPLES) >= 8
+
+    @pytest.mark.parametrize("argv, expected", README_EXAMPLES)
+    def test_readme_example(self, capsys, argv, expected):
+        code, out, err = invoke(capsys, *shlex.split(argv))
+        assert (code, out, err) == (0, expected + "\n", "")

@@ -18,10 +18,10 @@ from tamebc import (
     cokernel_d_jumps_oracle,
     d_jumps_closed_form,
     eisenstein_rescale,
-    series_ops,
     smith_normal_form,
 )
 from tamebc._intmat import mat_identity
+from tamebc.dvr import _kernel_slots
 
 
 CFG2 = DVRConfig(2, 16)
@@ -43,34 +43,30 @@ def zero(cfg):
 class TestSeriesOps:
     def test_cancellation(self):
         a = pi(CFG2) + pi(CFG2, 2)
-        out = series_ops(a, -pi(CFG2), "add")
+        out = a + (-pi(CFG2))
         assert out == pi(CFG2, 2)
         assert out.valuation == 2
 
     def test_valuation_additivity(self):
-        out = series_ops(pi(CFG2, 2), pi(CFG2, 3), "mul")
+        out = pi(CFG2, 2) * pi(CFG2, 3)
         assert out == pi(CFG2, 5)
         assert out.valuation == 5
 
     def test_geometric_inverse(self):
         cfg = DVRConfig(2, 4)
         denom = one(cfg) + pi(cfg)
-        out = series_ops(pi(cfg), denom, "unit-divide")
+        out = pi(cfg).unit_divide(denom)
         assert out == TruncSeries((0, 1, 1, 1), cfg)
         # re-multiplying recovers the dividend
         assert out * denom == pi(cfg)
 
     def test_divide_by_nonunit(self):
         with pytest.raises(NonUnitDivisor):
-            series_ops(one(CFG2), pi(CFG2), "unit-divide")
+            one(CFG2).unit_divide(pi(CFG2))
 
     def test_config_mismatch(self):
         with pytest.raises(ConfigMismatch):
-            series_ops(one(CFG2), one(CFG3), "add")
-
-    def test_unknown_kind(self):
-        with pytest.raises(SpecInvariantViolation):
-            series_ops(one(CFG2), one(CFG2), "sub")
+            one(CFG2) + one(CFG3)
 
     @given(
         a=st.lists(st.integers(0, 2), min_size=16, max_size=16),
@@ -94,6 +90,151 @@ class TestSeriesOps:
         with pytest.raises(SpecInvariantViolation):
             one(CFG2).shift_down(1)
 
+    def test_rejects_non_integer_coefficients(self):
+        cfg = DVRConfig(5, 8)
+        for bad in ([0.5, 1], [1, 2.0], ["1"], [1, None]):
+            with pytest.raises(SpecInvariantViolation):
+                TruncSeries(bad, cfg)
+        with pytest.raises(SpecInvariantViolation):
+            TruncSeries.from_int(0.5, cfg)
+
+    def test_sub_and_neg(self):
+        cfg = DVRConfig(7, 8)
+        a = TruncSeries([3, 0, 6, 1], cfg)
+        b = TruncSeries([5, 2, 6], cfg)
+        assert (a - b).coeffs == (5, 5, 0, 1, 0, 0, 0, 0)
+        assert (-a).coeffs == (4, 0, 1, 6, 0, 0, 0, 0)
+        assert a - b == a + (-b)
+        with pytest.raises(ConfigMismatch):
+            a - one(CFG2)
+
+    def test_shifts_past_precision(self):
+        s = one(CFG2) + pi(CFG2, 3)
+        assert s.shift_up(CFG2.precision - 1) == pi(CFG2, CFG2.precision - 1)
+        assert s.shift_up(CFG2.precision + 5).is_zero()
+        assert zero(CFG2).shift_down(CFG2.precision + 5).is_zero()
+        assert len(s.shift_up(3).coeffs) == len(s.shift_down(0).coeffs) == CFG2.precision
+
+
+# ---------------------------------------------------------------------------
+# differential tests: packed kernel against the schoolbook loops
+# ---------------------------------------------------------------------------
+
+def schoolbook_mul(a, b, p, n):
+    """Truncated product by the double loop (reference)."""
+    out = [0] * n
+    terms = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in terms:
+            if i + j >= n:
+                break
+            out[i + j] = (out[i + j] + x * y) % p
+    return tuple(out)
+
+
+def schoolbook_unit_divide(a, b, p, n):
+    """a / b mod pi^n for a unit b by back-substitution (reference)."""
+    inv0 = pow(b[0], -1, p)
+    terms = [(j, y) for j, y in enumerate(b) if y and j]
+    out = [0] * n
+    for i in range(n):
+        acc = a[i]
+        for j, y in terms:
+            if j > i:
+                break
+            acc -= y * out[i - j]
+        out[i] = (acc * inv0) % p
+    return tuple(out)
+
+
+PRIMES = (2, 3, 7, 65521, 2**31 - 1)
+PRECISIONS = (2, 3, 64, 257, 1024)
+
+
+def operands(rng, p, n):
+    """Zero, sparse, pi^k, units and dense operands, as coefficient lists."""
+    def sparse():
+        out = [0] * n
+        for _ in range(3):
+            out[rng.randrange(n)] = rng.randrange(1, p)
+        return out
+
+    def dense():
+        return [rng.randrange(1, p) for _ in range(n)]
+
+    k = rng.randrange(1, n)
+    ops = {
+        "zero": [0] * n,
+        "one": [1] + [0] * (n - 1),
+        "pi^k": [0] * k + [1] + [0] * (n - k - 1),
+        "sparse": sparse(),
+        "dense": dense(),
+        "max": [p - 1] * n,
+        "dense*pi": [0] + dense()[: n - 1],
+    }
+    unit = sparse()
+    unit[0] = rng.randrange(1, p)
+    ops["sparse unit"] = unit
+    ops["dense unit"] = dense()
+    return ops
+
+
+class TestPackedKernel:
+    def test_slot_widths_covered(self):
+        widths = {_kernel_slots(p, n)[1] for p in PRIMES for n in PRECISIONS}
+        assert {2, 4, 8} <= widths
+        assert max(widths) > 8
+
+    @pytest.mark.parametrize("p", PRIMES)
+    @pytest.mark.parametrize("n", PRECISIONS)
+    def test_mul_and_unit_divide_match_schoolbook(self, p, n):
+        rng = random.Random(p * 10007 + n)
+        cfg = DVRConfig(p, n)
+        ops = operands(rng, p, n)
+        dense = ("dense", "max", "dense*pi", "dense unit")
+        if n > 64:
+            # the reference is quadratic in the dense operands: keep one
+            ops = {k: v for k, v in ops.items() if k not in dense[:3]}
+        for x in ops.values():
+            for y in ops.values():
+                got = (TruncSeries(x, cfg) * TruncSeries(y, cfg)).coeffs
+                assert got == schoolbook_mul(x, y, p, n)
+        for name, y in ops.items():
+            if not y[0]:
+                continue
+            for xname, x in ops.items():
+                if n > 64 and name in dense and xname not in ("one", "sparse"):
+                    continue
+                got = TruncSeries(x, cfg).unit_divide(TruncSeries(y, cfg)).coeffs
+                assert got == schoolbook_unit_divide(x, y, p, n), (xname, name)
+
+    def test_wide_slots_max_coefficients(self):
+        # every slot of the product at its largest: N * (p-1)^2
+        p = 2**31 - 1
+        for n in (64, 1024):
+            cfg = DVRConfig(p, n)
+            top = TruncSeries([p - 1] * n, cfg)
+            expect = tuple((k + 1) * (p - 1) ** 2 % p for k in range(n))
+            assert (top * top).coeffs == expect
+
+    @given(
+        p=st.sampled_from(PRIMES),
+        n=st.integers(2, 80),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_unit_divide_then_multiply(self, p, n, data):
+        cfg = DVRConfig(p, n)
+        coeff = st.integers(0, p - 1)
+        a = TruncSeries(data.draw(st.lists(coeff, max_size=n)), cfg)
+        b = TruncSeries(
+            [data.draw(st.integers(1, p - 1))] + data.draw(st.lists(coeff, max_size=n - 1)),
+            cfg,
+        )
+        assert a.unit_divide(b) * b == a
+
 
 class TestDVRConfig:
     def test_rejects_composite(self):
@@ -107,6 +248,32 @@ class TestDVRConfig:
     def test_tame_context_requires_coprimality(self):
         with pytest.raises(SpecInvariantViolation):
             TameContext(4, CFG2)
+
+    def test_large_prime(self):
+        assert DVRConfig(2**61 - 1, 8).p == 2**61 - 1
+        assert DVRConfig(2**31 - 1, 8).p == 2**31 - 1
+
+    def test_rejects_carmichael_number(self):
+        # 151 * 751 * 28351: a Carmichael number and a strong pseudoprime
+        # to the bases 2, 3, 5 and 7
+        with pytest.raises(SpecInvariantViolation):
+            DVRConfig(3215031751, 8)
+
+    def test_rejects_strong_pseudoprime_to_twelve_bases(self):
+        # the least strong pseudoprime to every prime base up to 37
+        with pytest.raises(SpecInvariantViolation):
+            DVRConfig(318665857834031151167461, 8)
+
+    def test_rejects_prime_square(self):
+        with pytest.raises(SpecInvariantViolation):
+            DVRConfig(65521**2, 8)
+        with pytest.raises(SpecInvariantViolation):
+            DVRConfig((2**31 - 1) ** 2, 8)
+
+    def test_rejects_beyond_primality_bound(self):
+        # 2^89 - 1 is prime, but above the range where the test is proven
+        with pytest.raises(SpecInvariantViolation):
+            DVRConfig(2**89 - 1, 8)
 
 
 class TestSmithNormalForm:
