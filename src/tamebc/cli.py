@@ -89,23 +89,40 @@ def _torus_arg(args) -> "Torus":
     return parse_torus(args.torus)
 
 
+def _precision_arg(args) -> int:
+    if args.precision is None:
+        return _env_int("TAMEBC_PRECISION", DEFAULT_PRECISION)
+    return args.precision
+
+
+def _target_arg(text: str):
+    """The base-change target: "k" or a tame degree."""
+    if text == "k":
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected k or a tame degree, got {text!r}"
+        ) from None
+
+
 def _gluing_arg(args) -> "GluingSpec":
     if getattr(args, "spec", None):
         return _load(args.spec, (TwoPointsGluing, WildPointGluing), "gluing")
     if args.gluing is None:
         raise SpecFileError("need --gluing two-points|wild-point or --spec FILE")
-    precision = args.precision or _env_int("TAMEBC_PRECISION", DEFAULT_PRECISION)
-    bound = args.degree_bound or _env_int(
-        "TAMEBC_DEGREE_BOUND", DEFAULT_DEGREE_BOUND
-    )
-    config = DVRConfig(args.p, precision)
+    config = DVRConfig(args.p, _precision_arg(args))
+    bound = args.degree_bound
+    if bound is None:
+        bound = _env_int("TAMEBC_DEGREE_BOUND", DEFAULT_DEGREE_BOUND)
     algebra = PolyAlgebra(config, bound)
     if args.gluing == "two-points":
         return TwoPointsGluing(algebra)
     if args.gluing == "wild-point":
         if args.eisenstein is None:
             raise SpecFileError("wild-point gluing needs --eisenstein EXPR")
-        return WildPointGluing(algebra, specfile.parse_eisenstein(args.eisenstein, config))
+        return WildPointGluing(algebra, specfile.parse_eisenstein(args.eisenstein, algebra))
     raise SpecFileError(f"unknown gluing {args.gluing!r}")
 
 
@@ -161,10 +178,10 @@ def _cmd_pole(args, out):
 
 
 def _cmd_oracle(args, out):
-    precision = args.precision or _env_int("TAMEBC_PRECISION", DEFAULT_PRECISION)
-    config = DVRConfig(args.p, precision)
+    config = DVRConfig(args.p, _precision_arg(args))
     if args.eisenstein:
-        poly = specfile.parse_eisenstein(args.eisenstein, config)
+        algebra = PolyAlgebra(config, max(args.n, DEFAULT_DEGREE_BOUND))
+        poly = specfile.parse_eisenstein(args.eisenstein, algebra)
         if poly.degree != args.n:
             raise SpecFileError(
                 f"--n {args.n} contradicts the degree {poly.degree} of --eisenstein"
@@ -192,15 +209,15 @@ def _cmd_isogeny(args, out):
 
 def _cmd_pushout(args, out):
     spec = _gluing_arg(args)
-    config = spec.algebra.config
+    algebra = spec.algebra
     if args.check == "membership":
         if args.poly is None:
             raise SpecFileError("membership check needs --poly EXPR")
-        poly = specfile.parse_okt_expr(args.poly, config)
+        poly = specfile.parse_okt_expr(args.poly, algebra)
         print(f"member: {_bool_text(fiber_membership(poly, spec))}", file=out)
     elif args.check == "nilpotent":
         poly = (
-            specfile.parse_okt_expr(args.poly, config) if args.poly else None
+            specfile.parse_okt_expr(args.poly, algebra) if args.poly else None
         )
         report = nilpotent_witness(spec, poly)
 
@@ -220,10 +237,9 @@ def _cmd_pushout(args, out):
     elif args.check == "generators":
         print(f"generates: {_bool_text(generator_check(spec))}", file=out)
     elif args.check == "base-change":
-        if args.target == "k":
-            target = "k"
-        else:
-            target = TameContext(int(args.target), config)
+        target = args.target
+        if target != "k":
+            target = TameContext(target, algebra.config)
         equal, defect = base_change_commutes(spec, target)
         print(f"commutes: {_bool_text(equal)}, defect: {defect}", file=out)
     else:
@@ -313,7 +329,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--precision", type=int)
     p.add_argument("--degree-bound", dest="degree_bound", type=int)
     p.add_argument("--poly", help="polynomial in pi and t")
-    p.add_argument("--target", default="k", help="base-change target: k or a tame degree")
+    p.add_argument("--target", type=_target_arg, default="k",
+                   help="base-change target: k or a tame degree")
 
     p = add("components", _cmd_components, help="component-group count at a divisor")
     p.add_argument("--spec", required=True, help="spec file of kind jacobian")

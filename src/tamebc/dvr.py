@@ -19,6 +19,15 @@ elementary-divisor exponents are the integer base-change jumps at level
 d for the induced torus of a degree-n totally ramified extension (only
 available for d = 1 mod n, where an explicit integral model exists).
 
+Linear algebra over the truncated ring has one elimination,
+``column_echelon``.  Each of its pivots has the least valuation of the
+entries left, so it divides all of them, and clearing its row by column
+operations leaves the same Schur complement as clearing its row and its
+column: the pivot valuations are the Smith-form exponents.  They never
+decrease, so every column after the first non-unit pivot reduces to 0
+mod pi, while the unit-pivot columns stay independent mod pi because
+each later column vanishes on the earlier pivot rows.
+
 Precision policy: the truncation order N is fixed per configuration
 (default 64) and operations raise ``PrecisionExhausted`` instead of
 silently returning undetermined valuations.
@@ -484,61 +493,33 @@ def _check_matrix(M):
     return config
 
 
-def _min_valuation_position(M, top):
-    """(valuation, (i, j)) of the first entry of least valuation, row-major."""
-    rows, cols = range(top, len(M)), range(top, len(M[0]))
-    return min((M[i][j].valuation, (i, j)) for i in rows for j in cols)
-
-
 def smith_normal_form(M) -> ElemDivisors:
     """Valuations of the Smith-form diagonal of a matrix over the ring.
 
-    At each step the entry of minimal valuation becomes the pivot (over
-    a valuation ring it divides every remaining entry), its row and
-    column are cleared, and its valuation is recorded.  Raises
-    ``PrecisionExhausted`` if a block that should still carry pivots
-    vanishes to precision, since its divisors are then undetermined.
+    They are the pivot valuations of :func:`column_echelon` on the
+    columns of M (see the module docstring).  Raises
+    ``PrecisionExhausted`` when fewer than min(rows, cols) pivots
+    survive: the remaining block vanishes to precision, so its divisors
+    are undetermined.
     """
     config = _check_matrix(M)
-    N = config.precision
-    work = [list(row) for row in M]
-    steps = min(len(work), len(work[0]))
-    exponents = []
-    for top in range(steps):
-        v, pos = _min_valuation_position(work, top)
-        if v >= N:
-            raise PrecisionExhausted(
-                f"pivot {top} has valuation >= {N}; divisors undetermined"
-            )
-        i, j = pos
-        work[top], work[i] = work[i], work[top]
-        for row in work:
-            row[top], row[j] = row[j], row[top]
-        pivot = work[top][top]
-        exponents.append(v)
-        for i in range(top + 1, len(work)):
-            entry = work[i][top]
-            if entry.is_zero():
-                continue
-            q = entry.exact_divide(pivot)
-            work[i] = [x - q * y for x, y in zip(work[i], work[top])]
-        for j in range(top + 1, len(work[0])):
-            entry = work[top][j]
-            if entry.is_zero():
-                continue
-            q = entry.exact_divide(pivot)
-            for i in range(top, len(work)):
-                work[i][j] = work[i][j] - q * work[i][top]
-    return ElemDivisors(tuple(exponents))
+    basis = column_echelon(list(zip(*M)))
+    if len(basis) < min(len(M), len(M[0])):
+        raise PrecisionExhausted(
+            f"pivot {len(basis)} has valuation >= {config.precision}; divisors undetermined"
+        )
+    return ElemDivisors(tuple(col[r].valuation for col, r in basis))
 
 
 def column_echelon(columns):
     """Reduce a list of columns to a staircase basis of their span.
 
-    Performs unimodular column operations over the truncated ring.  The
-    returned list of (column, pivot_row) pairs is ordered so that each
-    pivot row is zero in all later basis columns, which makes sequential
-    back-substitution exact.  Columns that vanish to precision are
+    Performs unimodular column operations over the truncated ring, each
+    step pivoting on an entry of least valuation among the columns and
+    rows left.  The returned list of (column, pivot_row) pairs is ordered
+    so that each pivot row is zero in all later basis columns, which
+    makes sequential back-substitution exact, and so that the pivot
+    valuations never decrease.  Columns that vanish to precision are
     dropped.
     """
     if not columns:

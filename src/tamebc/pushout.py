@@ -230,36 +230,35 @@ def nilpotent_witness(spec: TwoPointsGluing, f=None) -> WitnessReport:
 # module bases of the glued subring on the slice
 # ---------------------------------------------------------------------------
 
-def _subring_generators(spec: GluingSpec, bound: int):
-    """Polynomials generating the degree-<=bound slice of A' over O_K."""
-    algebra = spec.algebra
+def _monic(spec: GluingSpec):
+    """The monic P of a wild-point gluing as a polynomial; None for
+    two-points."""
+    if isinstance(spec, TwoPointsGluing):
+        return None
+    if isinstance(spec, WildPointGluing):
+        one = TruncSeries.one(spec.algebra.config)
+        return spec.algebra.polynomial(spec.eisenstein.coeffs + (one,))
+    raise SpecInvariantViolation(f"unknown gluing {spec!r}")
+
+
+def _subring_generators(algebra: PolyAlgebra, monic, bound: int):
+    """Polynomials generating the degree-<=bound slice of A' over O_K:
+    A' = O_K + (monic), or the two-points subring when monic is None."""
     cfg = algebra.config
     one = TruncSeries.one(cfg)
-    pi = TruncSeries.uniformizer(cfg)
     gens = [algebra.constant(one)]
-    if isinstance(spec, TwoPointsGluing):
+    if monic is None:
         if bound >= 1:
-            gens.append(algebra.monomial(1, pi))
+            gens.append(algebra.monomial(1, TruncSeries.uniformizer(cfg)))
         for i in range(2, bound + 1):
             gens.append(
                 algebra.add(algebra.monomial(i), algebra.monomial(1, -one))
             )
         return gens
-    if isinstance(spec, WildPointGluing):
-        p_poly = _monic_poly(spec.eisenstein.coeffs, algebra)
-    elif isinstance(spec, _LiftedWildGluing):
-        p_poly = _monic_poly(spec.lifted_coeffs, algebra)
-    else:
-        raise SpecInvariantViolation(f"unknown gluing {spec!r}")
-    n = len(p_poly) - 1
+    n = len(monic) - 1
     for j in range(0, bound - n + 1):
-        gens.append(algebra.mul(p_poly, algebra.monomial(j)))
+        gens.append(algebra.mul(monic, algebra.monomial(j)))
     return gens
-
-
-def _monic_poly(coeffs, algebra: PolyAlgebra):
-    """t^n + c_(n-1) t^(n-1) + ... + c_0 for coeffs c_0 .. c_(n-1)."""
-    return algebra.polynomial(list(coeffs) + [TruncSeries.one(algebra.config)])
 
 
 def _to_column(f, bound: int, cfg: DVRConfig):
@@ -267,42 +266,21 @@ def _to_column(f, bound: int, cfg: DVRConfig):
     return [f[i] if i < len(f) else zero for i in range(bound + 1)]
 
 
-def _slice_basis(spec: GluingSpec, bound: int):
-    cfg = spec.algebra.config
-    cols = [_to_column(g, bound, cfg) for g in _subring_generators(spec, bound)]
-    return column_echelon(cols)
+def _slice_basis(algebra: PolyAlgebra, monic, bound: int):
+    cfg = algebra.config
+    gens = _subring_generators(algebra, monic, bound)
+    return column_echelon([_to_column(g, bound, cfg) for g in gens])
 
 
-def _fp_rank(columns, p: int) -> int:
-    """Rank over F_p of a list of integer columns."""
-    cols = [list(c) for c in columns]
-    nrows = len(cols[0]) if cols else 0
-    rank = 0
-    used = set()
-    for col in cols:
-        pivot = None
-        for r in range(nrows):
-            if r not in used and col[r] % p != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        inv = pow(col[pivot], -1, p)
-        norm = [(x * inv) % p for x in col]
-        for other in cols:
-            if other is col:
-                continue
-            factor = other[pivot] % p
-            if factor:
-                for r in range(nrows):
-                    other[r] = (other[r] - factor * norm[r]) % p
-        used.add(pivot)
-        rank += 1
-    return rank
+def _fp_rank(basis) -> int:
+    """Rank over F_p of an echelon basis reduced mod pi.
 
-
-def _reduction_mod_pi(column):
-    return [c.coeffs[0] for c in column]
+    It is the number of unit pivots: a column with a non-unit pivot
+    reduces to 0, and the unit-pivot columns stay independent because
+    each later column vanishes on the earlier pivot rows (see the
+    ``dvr`` module docstring).
+    """
+    return sum(col[r].is_unit() for col, r in basis)
 
 
 def _effective_bound(spec: GluingSpec, degree_bound) -> int:
@@ -320,10 +298,8 @@ def tor_defect(spec: GluingSpec, degree_bound=None) -> int:
     """Dimension over F_p of the kernel of A' tensor k -> A tensor k on
     the degree-<=D slice."""
     bound = _effective_bound(spec, degree_bound)
-    p = spec.algebra.config.p
-    basis = _slice_basis(spec, bound)
-    reduced = [_reduction_mod_pi(col) for col, _ in basis]
-    return len(basis) - _fp_rank(reduced, p)
+    basis = _slice_basis(spec.algebra, _monic(spec), bound)
+    return len(basis) - _fp_rank(basis)
 
 
 def generator_check(spec: WildPointGluing) -> bool:
@@ -338,22 +314,21 @@ def generator_check(spec: WildPointGluing) -> bool:
     algebra = spec.algebra
     bound = algebra.degree_bound
     cfg = algebra.config
-    n = spec.eisenstein.degree
+    monic = _monic(spec)
     cols = []
-    for i in range(n):
-        for g in _subring_generators(spec, bound - i):
+    for i in range(spec.eisenstein.degree):
+        for g in _subring_generators(algebra, monic, bound - i):
             shifted = algebra.mul(g, algebra.monomial(i)) if i else g
             cols.append(_to_column(shifted, bound, cfg))
-    basis = column_echelon(cols)
-    if len(basis) != bound + 1:
-        return False
-    return all(col[r].valuation == 0 for col, r in basis)
+    return _fp_rank(column_echelon(cols)) == bound + 1
 
 
 def _membership_conditions_mod_p(spec: GluingSpec, bound: int):
     """Rows of the F_p conditions cutting out the glued subring of
     k[t] on the slice.  An Eisenstein P reduces to t^n, so the
-    wild-point conditions kill the coefficients of t^1 .. t^(n-1)."""
+    wild-point conditions kill the coefficients of t^1 .. t^(n-1).
+    The rows are distinct unit vectors or one nonzero row, so their
+    rank is their number."""
     if isinstance(spec, TwoPointsGluing):
         return [[0] + [1] * bound]
     n = spec.eisenstein.degree
@@ -363,14 +338,6 @@ def _membership_conditions_mod_p(spec: GluingSpec, bound: int):
         row[i] = 1
         rows.append(row)
     return rows
-
-
-def _special_fibre_dim(spec: GluingSpec, bound: int, p: int) -> int:
-    conditions = _membership_conditions_mod_p(spec, bound)
-    if not conditions:
-        return bound + 1
-    cond_rank = _fp_rank([list(col) for col in zip(*conditions)], p)
-    return (bound + 1) - cond_rank
 
 
 def base_change_commutes(spec: GluingSpec, target):
@@ -384,20 +351,21 @@ def base_change_commutes(spec: GluingSpec, target):
     algebra = spec.algebra
     bound = algebra.degree_bound
     cfg = algebra.config
-    basis = _slice_basis(spec, bound)
+    monic = _monic(spec)
+    basis = _slice_basis(algebra, monic, bound)
     if target == "k":
         p = cfg.p
-        reduced = [_reduction_mod_pi(col) for col, _ in basis]
-        rank = _fp_rank(reduced, p)
-        kernel = len(basis) - rank
+        rank = _fp_rank(basis)
         conditions = _membership_conditions_mod_p(spec, bound)
-        for col in reduced:
+        for col, _ in basis:
+            reduced = [c.coeffs[0] for c in col]
             for row in conditions:
-                if sum(r * c for r, c in zip(row, col)) % p != 0:
+                if sum(r * c for r, c in zip(row, reduced)) % p != 0:
                     raise SpecInvariantViolation(
                         "comparison image escapes the glued subring"
                     )
-        cokernel = _special_fibre_dim(spec, bound, p) - rank
+        kernel = len(basis) - rank
+        cokernel = (bound + 1 - len(conditions)) - rank
         defect = kernel + cokernel
         return defect == 0, defect
     if isinstance(target, TameContext):
@@ -412,8 +380,10 @@ def base_change_commutes(spec: GluingSpec, target):
                     "pivot valuation exceeds precision after extension"
                 )
             lhs_cols.append([target.embed(c) for c in col])
-        rhs_spec = _extend_spec(spec, target)
-        rhs_basis = _slice_basis(rhs_spec, bound)
+        ext_algebra = PolyAlgebra(ext, bound)
+        if monic is not None:
+            monic = ext_algebra.polynomial([target.embed(c) for c in monic])
+        rhs_basis = _slice_basis(ext_algebra, monic, bound)
         coord_cols = []
         for col in lhs_cols:
             coords = coordinates_in_echelon(rhs_basis, col)
@@ -433,28 +403,3 @@ def base_change_commutes(spec: GluingSpec, target):
         defect = sum(divisors.exponents)
         return defect == 0, defect
     raise SpecInvariantViolation(f"unknown base-change target {target!r}")
-
-
-def _extend_spec(spec: GluingSpec, ctx: TameContext) -> GluingSpec:
-    """The same gluing over the tame extension ring."""
-    ext_algebra = PolyAlgebra(ctx.extension_config, spec.algebra.degree_bound)
-    if isinstance(spec, TwoPointsGluing):
-        return TwoPointsGluing(ext_algebra)
-    lifted = [ctx.embed(c) for c in spec.eisenstein.coeffs]
-    return _LiftedWildGluing(ext_algebra, lifted)
-
-
-@dataclass(frozen=True)
-class _LiftedWildGluing(GluingSpec):
-    """Wild-point gluing whose defining polynomial is the base-changed P.
-
-    After a tame extension P is no longer Eisenstein (its constant term
-    has valuation d), so this variant bypasses the Eisenstein validation
-    while keeping the same generator recipe.
-    """
-
-    algebra: PolyAlgebra
-    lifted_coeffs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "lifted_coeffs", tuple(self.lifted_coeffs))

@@ -149,74 +149,62 @@ def parse_motivic_expr(text: str) -> MotivicPoly:
 
 
 class _OktPoly:
-    """Thin polynomial wrapper so the expression parser can work over
-    O_K[t]; coefficients are TruncSeries, 'pi' is the uniformizer."""
+    """Operator glue so the expression parser can work over O_K[t]: the
+    arithmetic is the ``PolyAlgebra``'s, so any intermediate above its
+    degree bound raises ``DegreeBound``."""
 
-    __slots__ = ("coeffs", "config")
+    __slots__ = ("coeffs", "algebra")
 
-    def __init__(self, coeffs, config):
-        data = list(coeffs)
-        while data and data[-1].is_zero():
-            data.pop()
-        self.coeffs = tuple(data)
-        self.config = config
+    def __init__(self, coeffs, algebra: PolyAlgebra):
+        self.coeffs = coeffs  # already a polynomial of ``algebra``
+        self.algebra = algebra
 
     def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        zero = TruncSeries.zero(self.config)
-        return _OktPoly(
-            [
-                (self.coeffs[i] if i < len(self.coeffs) else zero)
-                + (other.coeffs[i] if i < len(other.coeffs) else zero)
-                for i in range(n)
-            ],
-            self.config,
-        )
+        return _OktPoly(self.algebra.add(self.coeffs, other.coeffs), self.algebra)
 
     def __sub__(self, other):
-        return self + other * -1
+        negated = self.algebra.polynomial([-c for c in other.coeffs])
+        return self + _OktPoly(negated, self.algebra)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            s = TruncSeries.from_int(other, self.config)
-            return _OktPoly([s * c for c in self.coeffs], self.config)
-        if not self.coeffs or not other.coeffs:
-            return _OktPoly([], self.config)
-        out = [TruncSeries.zero(self.config)] * (
-            len(self.coeffs) + len(other.coeffs) - 1
-        )
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return _OktPoly(out, self.config)
+        return _OktPoly(self.algebra.mul(self.coeffs, other.coeffs), self.algebra)
 
     def __pow__(self, n):
-        out = _OktPoly([TruncSeries.one(self.config)], self.config)
-        for _ in range(n):
-            out = out * self
+        algebra = self.algebra
+        out = _OktPoly(algebra.constant(TruncSeries.one(algebra.config)), algebra)
+        square = self
+        while n:
+            if n & 1:
+                out = out * square
+            n >>= 1
+            if n:
+                square = square * square
         return out
 
 
-def parse_okt_expr(text: str, config: DVRConfig):
+def parse_okt_expr(text: str, algebra: PolyAlgebra):
     """Parse a polynomial in t over O_K written with 'pi' and 't';
-    returns the coefficient tuple (low to high)."""
+    returns the coefficient tuple (low to high).  Every subexpression
+    must stay within the algebra's degree bound."""
+    config = algebra.config
 
     def const(c):
-        return _OktPoly([TruncSeries.from_int(c, config)], config)
+        return _OktPoly(algebra.constant(TruncSeries.from_int(c, config)), algebra)
 
     def var(name):
         if name == "pi":
-            return _OktPoly([TruncSeries.uniformizer(config)], config)
+            return _OktPoly(algebra.constant(TruncSeries.uniformizer(config)), algebra)
         if name == "t":
-            return _OktPoly([TruncSeries.zero(config), TruncSeries.one(config)], config)
+            return _OktPoly(algebra.monomial(1), algebra)
         raise SpecFileError(f"unknown variable {name!r}; expected pi or t")
 
     return _ExprParser(_tokenize(text), const, var).parse().coeffs
 
 
-def parse_eisenstein(text: str, config: DVRConfig) -> EisensteinPoly:
+def parse_eisenstein(text: str, algebra: PolyAlgebra) -> EisensteinPoly:
     """Parse a monic Eisenstein polynomial written with 'pi' and 't'."""
-    coeffs = parse_okt_expr(text, config)
+    config = algebra.config
+    coeffs = parse_okt_expr(text, algebra)
     if not coeffs or coeffs[-1] != TruncSeries.one(config):
         raise SpecFileError("eisenstein polynomial must be monic")
     return EisensteinPoly(coeffs[:-1], config)
@@ -408,7 +396,7 @@ def _parse_gluing_kind(fields: _Fields) -> GluingSpec:
         if style == "wild-point":
             if eis_text is None:
                 raise SpecFileError("wild-point gluing needs an eisenstein key")
-            return WildPointGluing(algebra, parse_eisenstein(eis_text, config))
+            return WildPointGluing(algebra, parse_eisenstein(eis_text, algebra))
         raise SpecFileError(f"unknown gluing kind {style!r}")
     except SpecInvariantViolation as exc:
         raise SpecFileError(str(exc)) from None

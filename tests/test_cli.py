@@ -1,6 +1,7 @@
 import os
 import re
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -207,6 +208,63 @@ class TestExitCodes:
         code, out, err = invoke(capsys, "zeta-jacobian", "--spec", str(path))
         assert code == 1
         assert err.startswith("SpecFileError")
+
+
+class TestExplicitArguments:
+    def test_oracle_precision_zero_is_rejected(self, capsys):
+        for precision in ("0", "1"):
+            code, out, err = invoke(
+                capsys, "oracle-cokernel", "--n", "3", "--d", "7", "--p", "2",
+                "--precision", precision,
+            )
+            assert (code, out) == (1, "")
+            assert err.startswith("SpecInvariantViolation")
+
+    def test_degree_bound_zero_is_rejected(self, capsys):
+        for bound in ("0", "1"):
+            code, out, err = invoke(
+                capsys, "pushout", "--check", "tor-defect", "--gluing", "two-points",
+                "--degree-bound", bound,
+            )
+            assert (code, out) == (1, "")
+            assert err.startswith("SpecInvariantViolation")
+
+    def test_pushout_precision_zero_beats_the_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("TAMEBC_PRECISION", "128")
+        monkeypatch.setenv("TAMEBC_DEGREE_BOUND", "6")
+        code, out, err = invoke(
+            capsys, "pushout", "--check", "membership", "--gluing", "two-points",
+            "--precision", "0", "--poly", "t",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("SpecInvariantViolation")
+
+    def test_unknown_base_change_target_is_a_usage_error(self, capsys):
+        code, out, err = invoke(
+            capsys, "pushout", "--check", "base-change", "--gluing", "two-points",
+            "--target", "foo",
+        )
+        assert (code, out) == (2, "")
+        assert "--target" in err and "k or a tame degree" in err
+        assert "Traceback" not in err
+
+    def test_huge_power_fails_fast(self, capsys):
+        start = time.perf_counter()
+        code, out, err = invoke(
+            capsys, "pushout", "--check", "membership", "--gluing", "two-points",
+            "--poly", "t^200000",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("DegreeBound")
+        assert time.perf_counter() - start < 2.0
+
+    def test_oracle_eisenstein_above_the_slice_bound(self, capsys):
+        code, out, err = invoke(
+            capsys, "oracle-cokernel", "--n", "3", "--d", "7", "--p", "2",
+            "--eisenstein", "t^99999999 - pi",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("DegreeBound")
 
 
 class TestDeterminism:

@@ -1,8 +1,10 @@
+import time
 from fractions import Fraction
 
 import pytest
 
 from tamebc import (
+    DegreeBound,
     DVRConfig,
     EisensteinPoly,
     Gm,
@@ -42,16 +44,48 @@ class TestExpressions:
 
     def test_okt_polynomials(self):
         cfg = DVRConfig(2, 16)
-        coeffs = parse_okt_expr("t^2 - pi", cfg)
+        alg = PolyAlgebra(cfg)
+        coeffs = parse_okt_expr("t^2 - pi", alg)
         assert coeffs == (-TruncSeries.uniformizer(cfg),
                           TruncSeries.zero(cfg),
                           TruncSeries.one(cfg))
-        coeffs = parse_okt_expr("(1 + pi)*t - pi^3", cfg)
+        coeffs = parse_okt_expr("(1 + pi)*t - pi^3", alg)
         assert coeffs[1] == TruncSeries.one(cfg) + TruncSeries.uniformizer(cfg)
 
     def test_okt_rejects_unknown_names(self):
         with pytest.raises(SpecFileError):
-            parse_okt_expr("x + 1", DVRConfig(2, 16))
+            parse_okt_expr("x + 1", PolyAlgebra(DVRConfig(2, 16)))
+
+    def test_okt_power_by_squaring(self):
+        cfg = DVRConfig(3, 16)
+        alg = PolyAlgebra(cfg)
+        base = alg.polynomial([TruncSeries.one(cfg), TruncSeries.uniformizer(cfg),
+                               TruncSeries.from_int(2, cfg)])
+        for k in range(7):
+            expected = alg.constant(TruncSeries.one(cfg))
+            for _ in range(k):
+                expected = alg.mul(expected, base)
+            assert parse_okt_expr(f"(1 + pi*t + 2*t^2)^{k}", alg) == expected
+        assert parse_okt_expr("pi^100000000", alg) == ()
+        assert parse_okt_expr("(1 + pi)^0", alg) == (TruncSeries.one(cfg),)
+
+    def test_okt_large_powers_raise_degree_bound(self):
+        alg = PolyAlgebra(DVRConfig(2, 16))
+        start = time.perf_counter()
+        with pytest.raises(DegreeBound):
+            parse_okt_expr("t^200000", alg)
+        with pytest.raises(DegreeBound):
+            parse_text("kind = gluing\ngluing = wild-point\np = 2\n"
+                       "eisenstein = t^99999999\n")
+        assert time.perf_counter() - start < 2.0
+
+    def test_okt_intermediates_stay_within_the_bound(self):
+        alg = PolyAlgebra(DVRConfig(2, 16), 4)
+        assert len(parse_okt_expr("t^4 - t^4 + t", alg)) == 2
+        with pytest.raises(DegreeBound):
+            parse_okt_expr("t^5 - t^5 + t", alg)
+        with pytest.raises(DegreeBound):
+            parse_okt_expr("t^3 * t^2", alg)
 
     def test_bad_tokens(self):
         with pytest.raises(SpecFileError):
