@@ -65,7 +65,6 @@ from .motivic import (
     component_count,
     jacobian_order,
     pole_report,
-    power_sum_closed_form,
     reduce,
     render_cyclo,
     zeta_induced_torus,

@@ -133,7 +133,7 @@ class JumpMultiset:
     def __init__(self, entries=()):
         vals = tuple(sorted(Fraction(e) for e in entries))
         for v in vals:
-            if not 0 <= v < 1:
+            if not 0 <= v.numerator < v.denominator:
                 raise SpecInvariantViolation(f"jump {v} outside [0,1)")
         self.entries = vals
 
@@ -277,10 +277,7 @@ def torus_jumps(spec: Torus) -> JumpMultiset:
     if isinstance(spec, NormOneQuadratic):
         return JumpMultiset([Fraction(1, 2)])
     if isinstance(spec, Product):
-        out = JumpMultiset()
-        for f in spec.factors:
-            out = out.union(torus_jumps(f))
-        return out
+        return JumpMultiset(j for f in spec.factors for j in torus_jumps(f))
     raise SpecInvariantViolation(f"unknown torus node {spec!r}")
 
 
@@ -308,9 +305,16 @@ def edixhoven_graded(jumps: JumpMultiset, d: int) -> DJumps:
     return DJumps(((d * j.numerator) // j.denominator for j in jumps), d)
 
 
+def _floor_sum(jumps: JumpMultiset, d: int) -> int:
+    """Sum of floor(d*j) over the jumps: the order of their d-jumps."""
+    return sum(d * j.numerator // j.denominator for j in jumps)
+
+
 def order_function(spec: Torus, d: int) -> int:
     """Total length of the level-d cokernel: the sum of the d-jumps."""
-    return edixhoven_graded(torus_jumps(spec), d).order()
+    if d < 1:
+        raise SpecInvariantViolation("need d >= 1")
+    return _floor_sum(torus_jumps(spec), d)
 
 
 def order_recursion_check(spec: Torus, alpha: int, q: int) -> bool:
@@ -318,16 +322,16 @@ def order_recursion_check(spec: Torus, alpha: int, q: int) -> bool:
 
     Here e is the lcm of the jump denominators (n for Res(n)) and c the
     tame conductor.  The identity is a floor-sum fact, so the check is
-    pure exact arithmetic; side conditions about coprimality to the
-    residue characteristic are the caller's concern.
+    pure integer arithmetic: q*e*c is q times the sum of (e/den)*num over
+    the jumps num/den.  Side conditions about coprimality to the residue
+    characteristic are the caller's concern.
     """
     if alpha < 1 or q < 0:
         raise SpecInvariantViolation("need alpha >= 1 and q >= 0")
     jumps = torus_jumps(spec)
     e = jumps.denominator_lcm()
-    lhs = order_function(spec, alpha + q * e)
-    rhs = order_function(spec, alpha) + q * e * jumps.conductor()
-    return Fraction(lhs) == rhs
+    shift = q * sum(e // j.denominator * j.numerator for j in jumps)
+    return _floor_sum(jumps, alpha + q * e) == _floor_sum(jumps, alpha) + shift
 
 
 def tame_conductor(jumps: JumpMultiset) -> Fraction:
@@ -388,7 +392,7 @@ def _parse_torus_expr(s: str):
         if s.startswith(name):
             rest = s[len(name):]
             i = 0
-            while i < len(rest) and rest[i].isdigit():
+            while i < len(rest) and rest[i].isascii() and rest[i].isdigit():
                 i += 1
             if i == 0:
                 raise SpecInvariantViolation(f"expected integer after {name!r}")

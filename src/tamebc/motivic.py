@@ -12,15 +12,16 @@ The two assemblies are the zeta function of an induced torus of purely
 wild degree n = p^m (single denominator factor, numerator indexed by the
 tame residues mod n) and the zeta function of a semiabelian Jacobian
 described by a ``JacobianSpec`` (geometric-series summation of the
-per-level classes, tied together by power-sum closed forms A_j with
-sum_q q^j x^q = A_j(x)/(1-x)^(j+1)).
+per-level classes: a polynomial c(q) of degree at most t summed against
+x^q is (1-x)^(-t-1) times its (t+1)-fold finite difference, a polynomial
+of degree at most t read off from c(0), ..., c(t)).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd, isqrt, lcm
 
 from .dvr import _is_prime
 from .errors import (
@@ -39,7 +40,6 @@ __all__ = [
     "JacobianSpec",
     "ToricDivisorData",
     "PoleReport",
-    "power_sum_closed_form",
     "reduce",
     "zeta_induced_torus",
     "component_count",
@@ -224,16 +224,8 @@ class CycloRational:
                 raise SpecInvariantViolation(
                     "series expansion with negative L exponent is outside Z[L]"
                 )
-            la = MotivicPoly.L(a)
-            nxt = {}
-            for k in range(order + 1):
-                val = cur.get(k, MotivicPoly.zero())
-                if k - b >= 0 and k - b in nxt:
-                    val = val + la * nxt[k - b]
-                if not val.is_zero():
-                    nxt[k] = val
-            cur = nxt
-        return {k: v for k, v in cur.items() if not v.is_zero()}
+            cur = _series_divide(cur, a, b, order)
+        return cur
 
     def __repr__(self):
         return render_cyclo(self)
@@ -241,68 +233,52 @@ class CycloRational:
     __str__ = __repr__
 
 
+def _series_divide(numerator: dict, a: int, b: int, order: int) -> dict:
+    """Coefficients z^0 .. z^order of numerator / (1 - L^a z^b)."""
+    la = MotivicPoly.L(a)
+    q = {}
+    for k in range(order + 1):
+        val = numerator.get(k, MotivicPoly.zero())
+        if k - b in q:
+            val = val + la * q[k - b]
+        if not val.is_zero():
+            q[k] = val
+    return q
+
+
 def _divide_once(numerator: dict, a: int, b: int):
     """Exact quotient of the numerator by (1 - L^a z^b), or None."""
     if not numerator:
         return {}
     kmax = max(numerator)
+    q = _series_divide(numerator, a, b, kmax - b)
+    # the remainder numerator - (1 - L^a z^b)*q sits in degrees above kmax-b
     la = MotivicPoly.L(a)
-    q = {}
-    for k in range(kmax + 1):
-        val = numerator.get(k, MotivicPoly.zero())
-        if k - b >= 0 and k - b in q:
-            val = val + la * q[k - b]
-        if not val.is_zero():
-            if k > kmax - b:
-                return None
-            q[k] = val
+    for k in range(max(kmax - b + 1, 0), kmax + 1):
+        rem = numerator.get(k, MotivicPoly.zero())
+        if k - b in q:
+            rem = rem + la * q[k - b]
+        if not rem.is_zero():
+            return None
     return q
 
 
 def reduce(r: CycloRational) -> CycloRational:
-    """Cancel every denominator factor that divides the numerator exactly."""
-    num = dict(r.numerator)
-    den = list(r.denominator)
-    changed = True
-    while changed:
-        changed = False
-        for f in sorted(set(den)):
-            q = _divide_once(num, *f)
-            if q is not None:
-                num = q
-                den.remove(f)
-                changed = True
-                break
-    return CycloRational(num, den)
+    """Cancel every denominator factor that divides the numerator exactly.
 
-
-# ---------------------------------------------------------------------------
-# power sums
-# ---------------------------------------------------------------------------
-
-def power_sum_closed_form(j: int) -> list:
-    """Coefficients of the polynomial A_j with sum_q q^j x^q = A_j(x)/(1-x)^(j+1).
-
-    A_0 = 1, and A_(j+1) = x(1-x)A_j' + (j+1)x A_j.
+    One pass over the sorted factors is enough: a factor that does not
+    divide the numerator divides none of its quotients, so a kept factor
+    is not tried again.
     """
-    if j < 0:
-        raise SpecInvariantViolation("power sum index must be >= 0")
-    a = [1]
-    for step in range(1, j + 1):
-        out = [0] * (len(a) + 1)
-        for i, c in enumerate(a):
-            if c == 0:
-                continue
-            if i:
-                # x*(1-x) * derivative
-                out[i] += i * c
-                out[i + 1] -= i * c
-            # step * x * previous
-            out[i + 1] += step * c
-        while len(out) > 1 and out[-1] == 0:
-            out.pop()
-        a = out
-    return a
+    num = dict(r.numerator)
+    den = []
+    for f in r.denominator:
+        q = None if f in den else _divide_once(num, *f)
+        if q is None:
+            den.append(f)
+        else:
+            num = q
+    return CycloRational(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +366,11 @@ class JacobianSpec:
                     f"jump {j} has denominator not dividing e_tilde={e_tilde}"
                 )
         e = lcm(e_tilde, n)
-        expected = {a for a in range(1, e + 1) if e % a == 0 and gcd(a, p) == 1}
+        expected = {
+            a
+            for k in range(1, isqrt(e) + 1) if e % k == 0
+            for a in (k, e // k) if gcd(a, p) == 1
+        }
         table = {}
         for key, value in dict(divisors).items():
             if not isinstance(value, ToricDivisorData):
@@ -459,9 +439,9 @@ def zeta_jacobian(spec: JacobianSpec) -> CycloRational:
     Levels d = alpha + q*e (alpha in 1..e prime to p) are summed as
     geometric-type series in x = L^(e*c) z^e, where c is the tame
     conductor.  The component count grows like ((alpha+q*e)/alpha')^t',
-    handled by binomial expansion and the power-sum polynomials A_j; all
-    terms are assembled over the common denominator (1-x)^(t_max+1) and
-    reduced.
+    a polynomial in q of degree t' <= t_max, so every residue is assembled
+    over the common denominator (1-x)^(t_max+1) with the numerator given
+    by ``_difference_numerator``, and the result is reduced.
     """
     n = spec.n
     p = spec.p
@@ -482,16 +462,6 @@ def zeta_jacobian(spec: JacobianSpec) -> CycloRational:
         a1 = gcd(alpha, e)
         data = spec.divisors[a1]
         t1 = data.t
-        # integer polynomial B(x) with sum_q ((alpha+q*e)/a1)^t1 x^q
-        # equal to B(x)/(a1^t1 (1-x)^(t1+1))
-        b_poly = [0] * (t1 + 1)
-        for j in range(t1 + 1):
-            aj = power_sum_closed_form(j)
-            scale = comb(t1, j) * alpha ** (t1 - j) * e ** j
-            part = _poly_mul_int(aj, _one_minus_x_power(t1 - j))
-            for i, coeff in enumerate(part):
-                b_poly[i] += scale * coeff
-        b_poly = [_exact_int_div(coeff, a1 ** t1) for coeff in b_poly]
         head = (
             (n * data.phi_tilde)
             * base_class
@@ -500,7 +470,7 @@ def zeta_jacobian(spec: JacobianSpec) -> CycloRational:
             * data.ab_class
             * MotivicPoly.L(jacobian_order(spec, alpha))
         )
-        term = _poly_mul_int(b_poly, _one_minus_x_power(t_max - t1))
+        term = _difference_numerator(alpha, e, a1, t1, t_max)
         for i, coeff in enumerate(term):
             if coeff == 0:
                 continue
@@ -511,26 +481,18 @@ def zeta_jacobian(spec: JacobianSpec) -> CycloRational:
     return reduce(CycloRational(num, den))
 
 
-def _poly_mul_int(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
+def _difference_numerator(alpha: int, e: int, a1: int, t1: int, t_max: int) -> list:
+    """Coefficients of x^0 .. x^t_max of (1-x)^(t_max+1) * sum_q c(q) x^q,
+    where c(q) = ((alpha+q*e)/a1)^t1 and a1 divides alpha and e.
 
-
-def _one_minus_x_power(k: int):
-    out = [1]
-    for _ in range(k):
-        out = _poly_mul_int(out, [1, -1])
-    return out
-
-
-def _exact_int_div(a: int, b: int) -> int:
-    if a % b != 0:
-        raise SpecInvariantViolation(f"{a} is not divisible by {b}")
-    return a // b
+    Multiplying by (1-x)^(t_max+1) takes the (t_max+1)-fold finite
+    difference of c, which vanishes beyond x^t_max since t1 <= t_max.
+    """
+    c = [((alpha + k * e) // a1) ** t1 for k in range(t_max + 1)]
+    return [
+        sum((-1) ** (i - k) * comb(t_max + 1, i - k) * c[k] for k in range(i + 1))
+        for i in range(t_max + 1)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,8 @@ __all__ = ["parse_text", "render_text", "parse_file", "parse_motivic_expr",
 # ---------------------------------------------------------------------------
 
 def _tokenize(text):
+    """Integers are ASCII digit runs and names ASCII identifiers; any other
+    character, a non-ASCII digit or letter included, is rejected."""
     tokens = []
     i = 0
     while i < len(text):
@@ -45,16 +47,18 @@ def _tokenize(text):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isascii() and ch.isdigit():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isascii() and text[j].isdigit():
                 j += 1
             tokens.append(("int", int(text[i:j])))
             i = j
             continue
-        if ch.isalpha() or ch == "_":
+        if ch.isascii() and (ch.isalpha() or ch == "_"):
             j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+            while j < len(text) and text[j].isascii() and (
+                text[j].isalnum() or text[j] == "_"
+            ):
                 j += 1
             tokens.append(("name", text[i:j]))
             i = j
@@ -325,8 +329,16 @@ def parse_text(text: str):
 
 
 def parse_file(path):
-    with open(path, "r", encoding="ascii") as handle:
-        return parse_text(handle.read())
+    """Parse the ASCII spec file at ``path``; an unreadable or non-ASCII
+    file raises ``SpecFileError`` naming the path."""
+    try:
+        with open(path, "r", encoding="ascii") as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise SpecFileError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise SpecFileError(f"{path}: byte {exc.start} is not ASCII") from None
+    return parse_text(text)
 
 
 def _parse_torus_kind(fields: _Fields) -> Torus:

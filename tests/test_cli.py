@@ -209,6 +209,36 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("SpecFileError")
 
+    def test_missing_spec_file(self, capsys, tmp_path):
+        path = str(tmp_path / "nonexistent.spec")
+        code, out, err = invoke(capsys, "jumps", "--spec", path)
+        assert (code, out) == (1, "")
+        assert err.startswith("SpecFileError") and path in err
+        assert "Traceback" not in err
+
+    def test_non_ascii_spec_file(self, capsys, tmp_path):
+        path = tmp_path / "accented.spec"
+        path.write_bytes("kind = torus\ntorus = res:4 # d\u00e9j\u00e0\n".encode("utf-8"))
+        code, out, err = invoke(capsys, "jumps", "--spec", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("SpecFileError") and str(path) in err
+        assert "Traceback" not in err
+
+    def test_non_ascii_digit_in_polynomial(self, capsys):
+        code, out, err = invoke(
+            capsys, "pushout", "--check", "membership", "--gluing", "two-points",
+            "--poly", "t + \u00b2",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("SpecFileError")
+
+    def test_non_ascii_digits_in_torus(self, capsys):
+        # a superscript two and a fullwidth four are not degrees
+        for torus in ("res:\u00b2", "res:\uff14"):
+            code, out, err = invoke(capsys, "jumps", "--torus", torus)
+            assert (code, out) == (1, "")
+            assert err.startswith("SpecInvariantViolation")
+
 
 class TestExplicitArguments:
     def test_oracle_precision_zero_is_rejected(self, capsys):

@@ -213,8 +213,10 @@ class TestCharacterDecomposition:
 
 class TestValidation:
     def test_jump_out_of_range(self):
-        with pytest.raises(SpecInvariantViolation):
-            JumpMultiset([F(3, 2)])
+        for bad in (F(3, 2), F(-1, 2), 1, F(7, 7)):
+            with pytest.raises(SpecInvariantViolation):
+                JumpMultiset([bad])
+        assert JumpMultiset([0, F(99, 100)]).entries == (0, F(99, 100))
 
     def test_djump_above_level(self):
         with pytest.raises(SpecInvariantViolation):
@@ -247,3 +249,9 @@ class TestTorusSyntax:
     def test_trailing_garbage(self):
         with pytest.raises(SpecInvariantViolation):
             parse_torus("res:4 junk")
+
+    def test_only_ascii_digits(self):
+        # a superscript two, a fullwidth four, an Arabic-Indic three
+        for text in ("res:\u00b2", "res:\uff14", "resquot:\u0663", "res:4\uff14"):
+            with pytest.raises(SpecInvariantViolation):
+                parse_torus(text)

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -18,7 +19,6 @@ from tamebc import (
     jacobian_order,
     order_function,
     pole_report,
-    power_sum_closed_form,
     reduce,
     render_cyclo,
     tame_conductor,
@@ -54,31 +54,6 @@ class TestMotivicPoly:
             MotivicPoly.atom("L")
         with pytest.raises(SpecInvariantViolation):
             MotivicPoly.atom("bad name")
-
-
-class TestPowerSums:
-    def test_small_cases(self):
-        assert power_sum_closed_form(0) == [1]
-        assert power_sum_closed_form(1) == [0, 1]
-        assert power_sum_closed_form(2) == [0, 1, 1]
-
-    def test_series_comparison_to_order_30(self):
-        # sum_q q^j x^q == A_j(x) / (1-x)^(j+1) as formal series
-        order = 30
-        for j in range(0, 6):
-            a = power_sum_closed_form(j)
-            # expand A_j(x) * (sum_i C(i+j, j) x^i)
-            got = [0] * (order + 1)
-            from math import comb
-
-            for i, c in enumerate(a):
-                if c == 0:
-                    continue
-                for q in range(order + 1 - i):
-                    got[i + q] += c * comb(q + j, j)
-            want = [q ** j if (q or j == 0) else 0 for q in range(order + 1)]
-            want[0] = 1 if j == 0 else 0
-            assert got == want
 
 
 class TestReduce:
@@ -196,6 +171,16 @@ class TestJacobianSpec:
     def test_rejects_wrong_divisor_table(self):
         with pytest.raises(SpecInvariantViolation):
             JacobianSpec(2, 2, 3, [F(0), F(1, 3)], {1: (0, 0, 1, 1)})
+
+    def test_tame_divisors_of_a_large_index(self):
+        # e = lcm(3^25, 2): the tame divisors are the 26 powers of 3, found
+        # by trial division up to isqrt(e) rather than a scan up to e
+        start = time.perf_counter()
+        with pytest.raises(SpecInvariantViolation):
+            JacobianSpec(2, 2, 3**25, [], {})
+        assert time.perf_counter() - start < 1.0
+        spec = JacobianSpec(2, 2, 3**25, [], {3**i: (0, 0, 1, 1) for i in range(26)})
+        assert sorted(spec.divisors) == [3**i for i in range(26)]
 
     def test_component_count(self):
         spec = simple_spec()

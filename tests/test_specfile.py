@@ -95,6 +95,14 @@ class TestExpressions:
         with pytest.raises(SpecFileError):
             parse_motivic_expr("(L")
 
+    def test_only_ascii_digits_and_names(self):
+        # a superscript two, a fullwidth four and a non-ASCII letter
+        for text in ("L + \u00b2", "\uff14*L", "L*E\u00e9", "\u00e9"):
+            with pytest.raises(SpecFileError):
+                parse_motivic_expr(text)
+        with pytest.raises(SpecFileError):
+            parse_okt_expr("t + \u00b2", PolyAlgebra(DVRConfig(2, 8)))
+
 
 class TestRoundTrips:
     def test_torus(self):
