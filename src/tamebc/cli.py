@@ -65,7 +65,7 @@ def _env_int(name: str, fallback: int) -> int:
     if raw is None:
         return fallback
     try:
-        return int(raw)
+        return specfile.ascii_int(raw)
     except ValueError:
         raise SpecFileError(f"{name} must be an integer, got {raw!r}") from None
 
@@ -95,12 +95,20 @@ def _precision_arg(args) -> int:
     return args.precision
 
 
+def _int_arg(text: str) -> int:
+    """An integer option: ASCII ``-?[0-9]+``, as in spec files."""
+    try:
+        return specfile.ascii_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _target_arg(text: str):
     """The base-change target: "k" or a tame degree."""
     if text == "k":
         return text
     try:
-        return int(text)
+        return specfile.ascii_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected k or a tame degree, got {text!r}"
@@ -272,43 +280,43 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", help="spec file of kind torus")
 
     p = add("d-jumps", _cmd_d_jumps, help="integer jumps at level d")
-    p.add_argument("--n", type=int, help="induced-torus degree (closed form)")
+    p.add_argument("--n", type=_int_arg, help="induced-torus degree (closed form)")
     p.add_argument("--torus", help="torus expression (interval counting)")
     p.add_argument("--spec", help="spec file of kind torus")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_int_arg, required=True)
 
     p = add("order", _cmd_order, help="order function at level d")
     p.add_argument("--torus", help="torus expression")
     p.add_argument("--spec", help="spec file of kind torus")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_int_arg, required=True)
 
     p = add("conductor", _cmd_conductor, help="tame conductor of a torus")
     p.add_argument("--torus", help="torus expression")
     p.add_argument("--spec", help="spec file of kind torus")
 
     p = add("characters", _cmd_characters, help="character exponents at level d")
-    p.add_argument("--n", type=int, help="induced-torus degree")
+    p.add_argument("--n", type=_int_arg, help="induced-torus degree")
     p.add_argument("--torus", help="torus expression")
     p.add_argument("--spec", help="spec file of kind torus")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_int_arg, required=True)
 
     p = add("zeta-torus", _cmd_zeta_torus, help="zeta of a purely wild induced torus")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--n", type=_int_arg, required=True)
+    p.add_argument("--p", type=_int_arg, required=True)
 
     p = add("zeta-jacobian", _cmd_zeta_jacobian, help="zeta of a semiabelian Jacobian")
     p.add_argument("--spec", required=True, help="spec file of kind jacobian")
 
     p = add("pole", _cmd_pole, help="pole location and order of a zeta function")
-    p.add_argument("--n", type=int)
-    p.add_argument("--p", type=int)
+    p.add_argument("--n", type=_int_arg)
+    p.add_argument("--p", type=_int_arg)
     p.add_argument("--spec", help="spec file of kind jacobian")
 
     p = add("oracle-cokernel", _cmd_oracle, help="brute-force d-jumps oracle")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--precision", type=int)
+    p.add_argument("--n", type=_int_arg, required=True)
+    p.add_argument("--d", type=_int_arg, required=True)
+    p.add_argument("--p", type=_int_arg, required=True)
+    p.add_argument("--precision", type=_int_arg)
     p.add_argument("--eisenstein", help="defining polynomial (default t^n - pi)")
 
     p = add("isogeny", _cmd_isogeny, help="equivariant isogeny check")
@@ -325,16 +333,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gluing", choices=["two-points", "wild-point"])
     p.add_argument("--spec", help="spec file of kind gluing")
     p.add_argument("--eisenstein", help="defining polynomial for wild-point")
-    p.add_argument("--p", type=int, default=2)
-    p.add_argument("--precision", type=int)
-    p.add_argument("--degree-bound", dest="degree_bound", type=int)
+    p.add_argument("--p", type=_int_arg, default=2)
+    p.add_argument("--precision", type=_int_arg)
+    p.add_argument("--degree-bound", dest="degree_bound", type=_int_arg)
     p.add_argument("--poly", help="polynomial in pi and t")
     p.add_argument("--target", type=_target_arg, default="k",
                    help="base-change target: k or a tame degree")
 
     p = add("components", _cmd_components, help="component-group count at a divisor")
     p.add_argument("--spec", required=True, help="spec file of kind jacobian")
-    p.add_argument("--alpha", type=int, required=True)
+    p.add_argument("--alpha", type=_int_arg, required=True)
 
     return parser
 

@@ -26,7 +26,9 @@ operations leaves the same Schur complement as clearing its row and its
 column: the pivot valuations are the Smith-form exponents.  They never
 decrease, so every column after the first non-unit pivot reduces to 0
 mod pi, while the unit-pivot columns stay independent mod pi because
-each later column vanishes on the earlier pivot rows.
+each later column vanishes on the earlier pivot rows.  Each pivot's unit
+part is inverted once, and every quotient by the pivot is a shift and a
+product with that inverse.
 
 Precision policy: the truncation order N is fixed per configuration
 (default 64) and operations raise ``PrecisionExhausted`` instead of
@@ -520,40 +522,33 @@ def column_echelon(columns):
     so that each pivot row is zero in all later basis columns, which
     makes sequential back-substitution exact, and so that the pivot
     valuations never decrease.  Columns that vanish to precision are
-    dropped.
+    dropped.  Each column keeps a valuation table that a step updates
+    where it changes an entry; a pivot row is marked N + 1 in it.
     """
     if not columns:
         return []
-    remaining = [list(c) for c in columns]
-    nrows = len(remaining[0])
-    N = remaining[0][0].config.precision
-    done_rows = set()
+    config = columns[0][0].config
+    N = config.precision
+    remaining = [(list(c), [e.valuation for e in c]) for c in columns]
     basis = []
     while remaining:
-        best = None
-        pos = None
-        for ci, col in enumerate(remaining):
-            for r in range(nrows):
-                if r in done_rows:
-                    continue
-                v = col[r].valuation
-                if best is None or v < best:
-                    best = v
-                    pos = (ci, r)
-        if best is None or best >= N:
+        best, ci = min((min(vals), ci) for ci, (_, vals) in enumerate(remaining))
+        if best >= N:
             break
-        ci, r = pos
-        pivot_col = remaining.pop(ci)
-        pivot = pivot_col[r]
-        for col in remaining:
-            entry = col[r]
-            if entry.is_zero():
-                continue
-            q = entry.exact_divide(pivot)
-            for k in range(nrows):
-                col[k] = col[k] - q * pivot_col[k]
+        pivot_col, pivot_vals = remaining.pop(ci)
+        r = pivot_vals.index(best)
+        rows = [k for k, v in enumerate(pivot_vals) if v < N]
+        inverse = None
+        for col, vals in remaining:
+            if vals[r] < N:
+                if inverse is None:
+                    inverse = TruncSeries.one(config).unit_divide(pivot_col[r].shift_down(best))
+                q = col[r].shift_down(best) * inverse
+                for k in rows:
+                    col[k] = col[k] - q * pivot_col[k]
+                    vals[k] = col[k].valuation
+            vals[r] = N + 1
         basis.append((pivot_col, r))
-        done_rows.add(r)
     return basis
 
 
@@ -575,8 +570,9 @@ def coordinates_in_echelon(basis, column):
             return None
         c = target.exact_divide(pivot)
         coords.append(c)
-        for k in range(len(col)):
-            col[k] = col[k] - c * bcol[k]
+        for k, b in enumerate(bcol):
+            if not b.is_zero():
+                col[k] = col[k] - c * b
     if any(not x.is_zero() for x in col):
         return None
     return coords
@@ -597,7 +593,8 @@ def _poly_mod(coeffs, Q: EisensteinPoly):
             continue
         # t^k = -(a_0 + ... + a_(n-1) t^(n-1)) * t^(k-n) mod Q
         for i, a in enumerate(Q.coeffs):
-            work[k - n + i] = work[k - n + i] - lead * a
+            if not a.is_zero():
+                work[k - n + i] = work[k - n + i] - lead * a
     while len(work) < n:
         work.append(TruncSeries.zero(Q.config))
     return work

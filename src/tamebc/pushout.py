@@ -256,8 +256,9 @@ def _subring_generators(algebra: PolyAlgebra, monic, bound: int):
             )
         return gens
     n = len(monic) - 1
+    zero = TruncSeries.zero(cfg)
     for j in range(0, bound - n + 1):
-        gens.append(algebra.mul(monic, algebra.monomial(j)))
+        gens.append(algebra.polynomial([zero] * j + list(monic)))  # monic * t^j
     return gens
 
 
@@ -315,11 +316,11 @@ def generator_check(spec: WildPointGluing) -> bool:
     bound = algebra.degree_bound
     cfg = algebra.config
     monic = _monic(spec)
+    zero = TruncSeries.zero(cfg)
     cols = []
     for i in range(spec.eisenstein.degree):
         for g in _subring_generators(algebra, monic, bound - i):
-            shifted = algebra.mul(g, algebra.monomial(i)) if i else g
-            cols.append(_to_column(shifted, bound, cfg))
+            cols.append(_to_column(algebra.polynomial([zero] * i + list(g)), bound, cfg))
     return _fp_rank(column_echelon(cols)) == bound + 1
 
 

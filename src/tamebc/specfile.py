@@ -14,6 +14,7 @@ over the valuation ring).  The full grammar lives in
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .dvr import DEFAULT_PRECISION, DVRConfig, EisensteinPoly, TruncSeries
@@ -272,9 +273,20 @@ class _Fields:
             raise SpecFileError(f"unknown sections: {sorted(self.sections)}")
 
 
+_INT = re.compile(r"-?[0-9]+")
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def ascii_int(text: str) -> int:
+    """``int(text)`` for ``-?[0-9]+`` only: no other digits, ``_``, ``+`` or blanks."""
+    if _INT.fullmatch(text) is None:
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _parse_int(text, key):
     try:
-        return int(text)
+        return ascii_int(text)
     except ValueError:
         raise SpecFileError(f"{key}: expected an integer, got {text!r}") from None
 
@@ -287,6 +299,8 @@ def _parse_rational_list(text, key):
     for part in text.split(","):
         part = part.strip()
         try:
+            if _RATIONAL.fullmatch(part) is None:
+                raise ValueError(part)
             out.append(Fraction(part))
         except (ValueError, ZeroDivisionError):
             raise SpecFileError(f"{key}: bad rational {part!r}") from None
@@ -300,7 +314,7 @@ def _parse_int_matrix(text, key):
         if not entries:
             raise SpecFileError(f"{key}: empty matrix row")
         try:
-            rows.append([int(e) for e in entries])
+            rows.append([ascii_int(e) for e in entries])
         except ValueError:
             raise SpecFileError(f"{key}: bad matrix entry in {chunk!r}") from None
     if any(len(r) != len(rows[0]) for r in rows):

@@ -297,6 +297,52 @@ class TestExplicitArguments:
         assert err.startswith("DegreeBound")
 
 
+class TestIntegerOptions:
+    """Integer options and environment values are ASCII ``-?[0-9]+``, as
+    in spec files; argparse's ``int`` would also take other Unicode
+    digits and underscores."""
+
+    @pytest.mark.parametrize("value", ["\uff13", "1_0", "+3", " 3", "3.0", "\u0663"])
+    def test_option_is_a_usage_error(self, capsys, value):
+        code, out, err = invoke(capsys, "order", "--torus", "res:3", "--d", value)
+        assert (code, out) == (2, "")
+        assert "--d" in err and "invalid int value" in err
+
+    def test_ascii_values_parse(self, capsys):
+        assert invoke(capsys, "order", "--torus", "res:3", "--d", "010")[:2] == (
+            invoke(capsys, "order", "--torus", "res:3", "--d", "10")[:2])
+        code, out, err = invoke(capsys, "order", "--torus", "res:3", "--d", "-3")
+        assert (code, out) == (1, "")
+        assert err.startswith("SpecInvariantViolation")
+
+    @pytest.mark.parametrize("value", ["\uff15", "1_0"])
+    def test_target(self, capsys, value):
+        code, out, err = invoke(
+            capsys, "pushout", "--check", "base-change", "--gluing", "two-points",
+            "--target", value,
+        )
+        assert (code, out) == (2, "")
+        assert "k or a tame degree" in err
+
+    @pytest.mark.parametrize("name", ["TAMEBC_PRECISION", "TAMEBC_DEGREE_BOUND"])
+    @pytest.mark.parametrize("value", ["6_4", "\uff16\uff14", " 64"])
+    def test_environment(self, capsys, monkeypatch, name, value):
+        monkeypatch.setenv(name, value)
+        code, out, err = invoke(
+            capsys, "pushout", "--check", "tor-defect", "--gluing", "two-points",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(f"SpecFileError: {name} must be an integer")
+
+    def test_every_typed_option_uses_the_ascii_parser(self):
+        from tamebc import cli
+
+        parser = cli._build_parser()
+        sub = next(a for a in parser._actions if a.choices and a.dest == "command")
+        typed = {a.type for p in sub.choices.values() for a in p._actions if a.type}
+        assert typed == {cli._int_arg, cli._target_arg}
+
+
 class TestDeterminism:
     def test_byte_identical_output(self, capsys, jacobian_file):
         first = invoke(capsys, "zeta-jacobian", "--spec", jacobian_file)

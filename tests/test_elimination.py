@@ -299,6 +299,206 @@ def test_pushout_checks_match_reference(seed):
 
 
 # ---------------------------------------------------------------------------
+# column_echelon and coordinates_in_echelon against the eliminations that
+# rescan every valuation at each pivot and divide each column separately
+# ---------------------------------------------------------------------------
+
+def ref_column_echelon(columns):
+    if not columns:
+        return []
+    remaining = [list(c) for c in columns]
+    nrows = len(remaining[0])
+    N = remaining[0][0].config.precision
+    done_rows = set()
+    basis = []
+    while remaining:
+        best = None
+        pos = None
+        for ci, col in enumerate(remaining):
+            for r in range(nrows):
+                if r in done_rows:
+                    continue
+                v = col[r].valuation
+                if best is None or v < best:
+                    best = v
+                    pos = (ci, r)
+        if best is None or best >= N:
+            break
+        ci, r = pos
+        pivot_col = remaining.pop(ci)
+        pivot = pivot_col[r]
+        for col in remaining:
+            entry = col[r]
+            if entry.is_zero():
+                continue
+            q = entry.exact_divide(pivot)
+            for k in range(nrows):
+                col[k] = col[k] - q * pivot_col[k]
+        basis.append((pivot_col, r))
+        done_rows.add(r)
+    return basis
+
+
+def ref_coordinates_in_echelon(basis, column):
+    col = list(column)
+    coords = []
+    for bcol, r in basis:
+        target = col[r]
+        pivot = bcol[r]
+        if target.is_zero():
+            coords.append(TruncSeries.zero(target.config))
+            continue
+        if target.valuation < pivot.valuation:
+            return None
+        c = target.exact_divide(pivot)
+        coords.append(c)
+        for k in range(len(col)):
+            col[k] = col[k] - c * bcol[k]
+    if any(not x.is_zero() for x in col):
+        return None
+    return coords
+
+
+SHAPES = ("dense", "monomial", "sparse", "padded")
+
+
+def shaped_entry(rng, cfg, shape):
+    """dense: every digit random; monomial: c * pi^v with v up to N (0);
+    sparse: mostly exact zeros."""
+    N = cfg.precision
+    if shape == "dense":
+        return TruncSeries([rng.randrange(cfg.p) for _ in range(N)], cfg)
+    if shape == "monomial":
+        v = rng.randrange(N + 1)
+        if v == N:
+            return TruncSeries.zero(cfg)
+        return TruncSeries.uniformizer(cfg, v) * TruncSeries.from_int(rng.randrange(1, cfg.p), cfg)
+    if rng.random() < 0.75:
+        return TruncSeries.zero(cfg)
+    return random_entry(rng, cfg)
+
+
+def shaped_columns(rng, cfg, rows, cols, shape):
+    """Columns of one shape; padded columns hold mixed entries above a
+    run of zeros, as the slice columns of a polynomial of lower degree."""
+    zero = TruncSeries.zero(cfg)
+    out = []
+    for _ in range(cols):
+        if shape == "padded":
+            top = rng.randrange(1, rows + 1)
+            kind = rng.choice(SHAPES[:3])
+            out.append([shaped_entry(rng, cfg, kind) for _ in range(top)]
+                       + [zero] * (rows - top))
+        else:
+            out.append([shaped_entry(rng, cfg, shape) for _ in range(rows)])
+    return out
+
+
+def combination(rng, cfg, columns):
+    """A random O_K-combination of the columns: inside their span."""
+    out = [TruncSeries.zero(cfg)] * len(columns[0])
+    for col in columns:
+        c = random_entry(rng, cfg)
+        out = [x + c * y for x, y in zip(out, col)]
+    return out
+
+
+def echelon_cases(seed, count):
+    rng = random.Random(seed)
+    for i in range(count):
+        cfg = DVRConfig(PRIMES[i % 4], (2, 3, 8, 64)[i // 4 % 4])
+        shape = SHAPES[i // 16 % 4]
+        rows, cols = rng.randrange(1, 7), rng.randrange(1, 9)
+        yield rng, cfg, shaped_columns(rng, cfg, rows, cols, shape)
+
+
+def as_tuples(basis):
+    return [(tuple(col), r) for col, r in basis]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_echelon_and_coordinates_match_reference(seed):
+    found = missed = 0
+    for rng, cfg, columns in echelon_cases(300 + seed, 256):
+        basis = column_echelon(columns)
+        assert as_tuples(basis) == as_tuples(ref_column_echelon(columns)), (cfg, columns)
+        probes = columns + [combination(rng, cfg, columns)]
+        probes += shaped_columns(rng, cfg, len(columns[0]), 2, rng.choice(SHAPES))
+        for probe in probes:
+            new = outcome(coordinates_in_echelon, basis, probe)
+            assert new == outcome(ref_coordinates_in_echelon, basis, probe), (cfg, probe)
+            found += isinstance(new, list)
+            missed += new is None
+    # the sample must reach both answers
+    assert found > 500 and missed > 100
+
+
+# ---------------------------------------------------------------------------
+# work done by the push-out checks: no product with a zero operand, and one
+# pivot inverse per pivot inside column_echelon
+# ---------------------------------------------------------------------------
+
+def named_gluing():
+    """t^3 + 2*pi*t - 3*pi over F_5[[pi]], D = 14."""
+    cfg = DVRConfig(5)
+    pi = TruncSeries.uniformizer(cfg)
+    P = EisensteinPoly([-(pi + pi + pi), pi + pi, TruncSeries.zero(cfg)], cfg)
+    return WildPointGluing(PolyAlgebra(cfg, 14), P), TameContext(3, cfg)
+
+
+def dense_gluing():
+    """Every coefficient pi * (a unit with no zero digit), p = 7, N = 48."""
+    cfg = DVRConfig(7, 48)
+    rng = random.Random(5)
+    coeffs = [TruncSeries([0] + [rng.randrange(1, 7) for _ in range(47)], cfg)
+              for _ in range(2)]
+    return WildPointGluing(PolyAlgebra(cfg, 9), EisensteinPoly(coeffs, cfg)), TameContext(2, cfg)
+
+
+@pytest.mark.parametrize("build", [named_gluing, dense_gluing])
+def test_pushout_checks_skip_known_work(build, monkeypatch):
+    import tamebc.dvr as dvr_module
+    import tamebc.pushout as pushout_module
+
+    spec, ctx = build()
+    products = []
+    divides = [0]
+    windows = []
+    mul = TruncSeries.__mul__
+    unit_divide = TruncSeries.unit_divide
+    echelon = dvr_module.column_echelon
+
+    def counted_mul(a, b):
+        products.append(a.is_zero() or b.is_zero())
+        return mul(a, b)
+
+    def counted_unit_divide(a, b):
+        divides[0] += 1
+        return unit_divide(a, b)
+
+    def counted_echelon(columns):
+        before = divides[0]
+        basis = echelon(columns)
+        windows.append((divides[0] - before, len(basis)))
+        return basis
+
+    monkeypatch.setattr(TruncSeries, "__mul__", counted_mul)
+    monkeypatch.setattr(TruncSeries, "unit_divide", counted_unit_divide)
+    monkeypatch.setattr(dvr_module, "column_echelon", counted_echelon)
+    monkeypatch.setattr(pushout_module, "column_echelon", counted_echelon)
+
+    assert generator_check(spec)
+    tor_defect(spec)
+    base_change_commutes(spec, "k")
+    base_change_commutes(spec, ctx)
+    assert products and not any(products)
+    # generator_check, tor_defect, two slice bases per base change, one Smith form
+    assert len(windows) == 6
+    assert all(count <= pivots for count, pivots in windows), windows
+    assert sum(count for count, _ in windows) > 0
+
+
+# ---------------------------------------------------------------------------
 # integer matrices against sympy, where it is installed
 # ---------------------------------------------------------------------------
 

@@ -21,6 +21,7 @@ from tamebc import (
     klein_four_example_map,
 )
 from tamebc.specfile import (
+    _parse_rational_list,
     parse_motivic_expr,
     parse_okt_expr,
     parse_text,
@@ -210,3 +211,50 @@ class TestParsing:
             parse_text(
                 "kind = gluing\ngluing = wild-point\np = 2\neisenstein = 2*t^2 - pi\n"
             )
+
+
+class TestNumbers:
+    """Integers are ``-?[0-9]+`` and rationals ``-?[0-9]+(/[0-9]+)?``
+    (docs/specfile.md), not whatever ``int()`` and ``Fraction()`` take."""
+
+    GLUING = "kind = gluing\ngluing = two-points\np = {p}\ndegree_bound = {bound}\n"
+
+    def test_ascii_integers_parse(self):
+        spec = parse_text(self.GLUING.format(p="5", bound="08"))
+        assert (spec.algebra.config.p, spec.algebra.degree_bound) == (5, 8)
+
+    @pytest.mark.parametrize("p, bound, key", [
+        ("5", "0_8", "degree_bound"),
+        ("\uff15", "8", "p"),
+        ("+5", "8", "p"),
+        ("5", "\u0668", "degree_bound"),
+    ])
+    def test_other_integer_spellings_rejected(self, p, bound, key):
+        with pytest.raises(SpecFileError, match=f"^{key}: expected an integer"):
+            parse_text(self.GLUING.format(p=p, bound=bound))
+
+    def test_jacobian_integers(self):
+        for old, new, key in [("n = 2", "n = 0_2", "n"), ("t = 1", "t = \uff11", "t"),
+                              ("[divisor 1]", "[divisor 1_0]", "divisor")]:
+            with pytest.raises(SpecFileError, match=f"^{key}: expected an integer"):
+                parse_text(JACOBIAN_TEXT.replace(old, new))
+
+    def test_rationals(self):
+        assert _parse_rational_list("0, 1/2, -03/4, 7", "k") == [0, F(1, 2), F(-3, 4), 7]
+
+    @pytest.mark.parametrize("jumps", [
+        "0, 0.5, 1_0/3_0", "1_0/3_0", "1/3_0", "\uff10", "1e0", "1 / 3", "1/", "/3", "1/-3", "1/0",
+    ])
+    def test_other_rational_spellings_rejected(self, jumps):
+        text = JACOBIAN_TEXT.replace("abelian_jumps = 0", f"abelian_jumps = {jumps}")
+        with pytest.raises(SpecFileError, match="^abelian_jumps: bad rational"):
+            parse_text(text)
+
+    @pytest.mark.parametrize("entry, key", [("1_0", "matrix"), ("\uff11", "gen1")])
+    def test_matrix_entries(self, entry, key):
+        text = render_text(klein_four_example_map())
+        line = next(l for l in text.splitlines() if l.startswith(key))
+        name, value = line.split(" = ")
+        broken = text.replace(line, f"{name} = {value.replace('1', entry, 1)}")
+        with pytest.raises(SpecFileError, match=f"^{key}: bad matrix entry"):
+            parse_text(broken)
