@@ -14,6 +14,7 @@ bound of the push-out checks.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -263,7 +264,10 @@ def _cmd_components(args, out):
 # argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args``
+    returns a fresh namespace on every call."""
     parser = argparse.ArgumentParser(
         prog="tamebc",
         description="exact tame base-change invariants",

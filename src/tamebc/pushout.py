@@ -10,12 +10,52 @@ gluings are supported:
   agree modulo pi, obtained by identifying two points of the special
   fibre of the affine line.
 
-All checks are finite-dimensional linear algebra over F_p and the
-truncated valuation ring on the degree-at-most-D slice: membership
-predicates, the Tor obstruction to base change (kernel of
-A' tensor k -> A tensor k), a nilpotent witness for the non-reducedness
-of the two-points special fibre, module generation of A over A', and a
-direct comparison of "tensor then glue" against "glue then tensor".
+The checks work on the degree-at-most-D slice: membership predicates,
+the Tor obstruction to base change (kernel of A' tensor k -> A tensor k),
+a nilpotent witness for the non-reducedness of the two-points special
+fibre, module generation of A over A', and a direct comparison of
+"tensor then glue" against "glue then tensor".
+
+None of them needs an elimination, because the generators of the slice
+of A' over O_K are already a staircase basis.  They are 1, P, P*t, ...,
+P*t^(D-n) for wild-point and 1, pi*t, t^i - t (2 <= i <= D) for
+two-points.  Their degrees are distinct, so listed highest degree first,
+with the degree as pivot row and the leading coefficient as pivot, each
+pivot row is zero in every later column: the contract of
+``column_echelon`` output.  The pivots are 1 for the monic generators and
+pi for pi*t, which is nonzero at every precision N >= 2, so no column
+vanishes.  pi*t is pi times a column, so every column with a non-unit
+pivot reduces to 0 mod pi, and the F_p rank of the reduced basis is the
+number of unit pivots (``_fp_rank``).
+
+* Tor defect.  A' tensor k -> A tensor k sends the basis to its
+  reductions, so its kernel has dimension len(basis) - rank: 0 for
+  wild-point, 1 (the class of pi*t) for two-points.
+* Generators.  The products 1 * t^i (i < n) and P*t^j (j <= D - n) are
+  among the products (element of A') * t^i, and they are monic of the
+  degrees 0 .. D exactly, so they form a staircase of D + 1 unit pivots.
+  A subset of full F_p rank D + 1 forces the whole set of products to
+  full rank, so the check is the rank of that subset.
+* Base change to k.  The glued subring of k[t] on the slice has
+  codimension 1 (values at 0 and 1 agree) for two-points and n - 1 for
+  wild-point: P reduces to t^n, and k + (t^n) is cut out by the
+  coefficients of t^1 .. t^(n-1).  The basis reduces into it (1 to 1,
+  pi*t to 0, t^i - t to a polynomial with equal values 0 at 0 and 1,
+  P*t^j to t^(n+j)), so the image of A' tensor k satisfies those
+  conditions and the comparison map is well defined.  Its kernel is
+  len(basis) - rank and its cokernel (D + 1 - codimension) - rank.
+* Base change to K(d).  ``TameContext.embed`` is a ring map fixing 1,
+  t and the unit leading coefficients.  It sends 1 and t^i - t to
+  themselves, P*t^j to P'*t^j with P' the embedded P (a generator of the
+  extended gluing, which embeds P too), and pi*t to pi_d^d * t =
+  pi_d^(d-1) * (pi_d * t).  In the two staircases the comparison matrix
+  is therefore diagonal with entries pi_d^((d-1)*v), v the pivot
+  valuations.  The image of every generator is a multiple of one
+  extended generator, so it never leaves the extended subring, both
+  staircases have the same length, and the defect (the sum of the Smith
+  exponents) is the sum of (d - 1) * v.  An embedded pivot pi^v becomes
+  pi_d^(v*d), which is 0 at precision N once v*d >= N; the entry is then
+  undetermined and the check raises ``PrecisionExhausted``.
 """
 
 from __future__ import annotations
@@ -28,9 +68,6 @@ from .dvr import (
     EisensteinPoly,
     TameContext,
     TruncSeries,
-    column_echelon,
-    coordinates_in_echelon,
-    smith_normal_form,
     _poly_mod,
 )
 from .errors import (
@@ -242,14 +279,14 @@ def _monic(spec: GluingSpec):
 
 
 def _subring_generators(algebra: PolyAlgebra, monic, bound: int):
-    """Polynomials generating the degree-<=bound slice of A' over O_K:
-    A' = O_K + (monic), or the two-points subring when monic is None."""
+    """Polynomials generating the degree-<=bound slice of A' over O_K, by
+    increasing degree: A' = O_K + (monic), or the two-points subring when
+    monic is None."""
     cfg = algebra.config
     one = TruncSeries.one(cfg)
     gens = [algebra.constant(one)]
     if monic is None:
-        if bound >= 1:
-            gens.append(algebra.monomial(1, TruncSeries.uniformizer(cfg)))
+        gens.append(algebra.monomial(1, TruncSeries.uniformizer(cfg)))
         for i in range(2, bound + 1):
             gens.append(
                 algebra.add(algebra.monomial(i), algebra.monomial(1, -one))
@@ -262,24 +299,20 @@ def _subring_generators(algebra: PolyAlgebra, monic, bound: int):
     return gens
 
 
-def _to_column(f, bound: int, cfg: DVRConfig):
-    zero = TruncSeries.zero(cfg)
-    return [f[i] if i < len(f) else zero for i in range(bound + 1)]
-
-
 def _slice_basis(algebra: PolyAlgebra, monic, bound: int):
-    cfg = algebra.config
-    gens = _subring_generators(algebra, monic, bound)
-    return column_echelon([_to_column(g, bound, cfg) for g in gens])
+    """The generators as a staircase basis: (column, pivot row) pairs,
+    highest degree first.  A column is a coefficient tuple, zero above
+    its pivot row, which is its degree (see the module docstring)."""
+    return [(g, len(g) - 1) for g in reversed(_subring_generators(algebra, monic, bound))]
 
 
 def _fp_rank(basis) -> int:
-    """Rank over F_p of an echelon basis reduced mod pi.
+    """Rank over F_p of a staircase basis reduced mod pi.
 
-    It is the number of unit pivots: a column with a non-unit pivot
-    reduces to 0, and the unit-pivot columns stay independent because
-    each later column vanishes on the earlier pivot rows (see the
-    ``dvr`` module docstring).
+    It is the number of unit pivots when every column with a non-unit
+    pivot reduces to 0, as in ``column_echelon`` output and the
+    generator staircases here: the unit-pivot columns stay independent
+    mod pi because each later column vanishes on the earlier pivot rows.
     """
     return sum(col[r].is_unit() for col, r in basis)
 
@@ -306,39 +339,18 @@ def tor_defect(spec: GluingSpec, degree_bound=None) -> int:
 def generator_check(spec: WildPointGluing) -> bool:
     """Whether 1, t, ..., t^(n-1) generate the slice of A over A'.
 
-    Builds every product (basis element of A' of degree <= D-i) * t^i
-    and checks that the resulting columns span the full slice with unit
-    pivots.
+    Takes the products t^i (i < n) and P * t^j (j <= D - n), a staircase
+    of degrees 0 .. D inside the products (basis element of A') * t^i,
+    and checks that it has D + 1 unit pivots.
     """
     if not isinstance(spec, WildPointGluing):
         raise SpecInvariantViolation("generator check applies to wild-point gluings")
     algebra = spec.algebra
     bound = algebra.degree_bound
-    cfg = algebra.config
-    monic = _monic(spec)
-    zero = TruncSeries.zero(cfg)
-    cols = []
-    for i in range(spec.eisenstein.degree):
-        for g in _subring_generators(algebra, monic, bound - i):
-            cols.append(_to_column(algebra.polynomial([zero] * i + list(g)), bound, cfg))
-    return _fp_rank(column_echelon(cols)) == bound + 1
-
-
-def _membership_conditions_mod_p(spec: GluingSpec, bound: int):
-    """Rows of the F_p conditions cutting out the glued subring of
-    k[t] on the slice.  An Eisenstein P reduces to t^n, so the
-    wild-point conditions kill the coefficients of t^1 .. t^(n-1).
-    The rows are distinct unit vectors or one nonzero row, so their
-    rank is their number."""
-    if isinstance(spec, TwoPointsGluing):
-        return [[0] + [1] * bound]
-    n = spec.eisenstein.degree
-    rows = []
-    for i in range(1, n):
-        row = [0] * (bound + 1)
-        row[i] = 1
-        rows.append(row)
-    return rows
+    # P * t^(D-n), ..., P from the basis, whose last column, 1, is t^0
+    staircase = _slice_basis(algebra, _monic(spec), bound)[:-1]
+    staircase += [(algebra.monomial(i), i) for i in reversed(range(spec.eisenstein.degree))]
+    return _fp_rank(staircase) == bound + 1
 
 
 def base_change_commutes(spec: GluingSpec, target):
@@ -352,55 +364,28 @@ def base_change_commutes(spec: GluingSpec, target):
     algebra = spec.algebra
     bound = algebra.degree_bound
     cfg = algebra.config
-    monic = _monic(spec)
-    basis = _slice_basis(algebra, monic, bound)
+    basis = _slice_basis(algebra, _monic(spec), bound)
     if target == "k":
-        p = cfg.p
         rank = _fp_rank(basis)
-        conditions = _membership_conditions_mod_p(spec, bound)
-        for col, _ in basis:
-            reduced = [c.coeffs[0] for c in col]
-            for row in conditions:
-                if sum(r * c for r, c in zip(row, reduced)) % p != 0:
-                    raise SpecInvariantViolation(
-                        "comparison image escapes the glued subring"
-                    )
+        if isinstance(spec, TwoPointsGluing):
+            codimension = 1
+        else:
+            codimension = spec.eisenstein.degree - 1
         kernel = len(basis) - rank
-        cokernel = (bound + 1 - len(conditions)) - rank
+        cokernel = (bound + 1 - codimension) - rank
         defect = kernel + cokernel
         return defect == 0, defect
     if isinstance(target, TameContext):
         if target.base != cfg:
             raise ConfigMismatch("tame context is over a different base")
-        ext = target.extension_config
-        N = ext.precision
-        lhs_cols = []
+        N = target.extension_config.precision
+        defect = 0
         for col, r in basis:
-            if col[r].valuation * target.d >= N:
+            v = col[r].valuation
+            if v * target.d >= N:
                 raise PrecisionExhausted(
                     "pivot valuation exceeds precision after extension"
                 )
-            lhs_cols.append([target.embed(c) for c in col])
-        ext_algebra = PolyAlgebra(ext, bound)
-        if monic is not None:
-            monic = ext_algebra.polynomial([target.embed(c) for c in monic])
-        rhs_basis = _slice_basis(ext_algebra, monic, bound)
-        coord_cols = []
-        for col in lhs_cols:
-            coords = coordinates_in_echelon(rhs_basis, col)
-            if coords is None:
-                raise SpecInvariantViolation(
-                    "comparison image escapes the glued subring"
-                )
-            coord_cols.append(coords)
-        if len(rhs_basis) != len(lhs_cols):
-            # ranks differ; report the discrepancy as pure defect
-            return False, abs(len(rhs_basis) - len(lhs_cols))
-        matrix = [
-            [coord_cols[j][i] for j in range(len(coord_cols))]
-            for i in range(len(rhs_basis))
-        ]
-        divisors = smith_normal_form(matrix)
-        defect = sum(divisors.exponents)
+            defect += (target.d - 1) * v
         return defect == 0, defect
     raise SpecInvariantViolation(f"unknown base-change target {target!r}")

@@ -378,6 +378,55 @@ class TestDeterminism:
         assert (code, out) == (0, "member: true\n")
 
 
+class TestParserReuse:
+    """The parser is built once per process, so no parsed value may carry
+    over from one call to the next: each call in a sequence, where later
+    calls omit what earlier ones set, answers as a fresh ``run`` does."""
+
+    SEQUENCE = [
+        ({}, ["pushout", "--check", "base-change", "--gluing", "two-points",
+              "--target", "5"]),
+        ({}, ["pushout", "--check", "base-change", "--gluing", "two-points"]),
+        ({}, ["oracle-cokernel", "--n", "2", "--d", "25", "--p", "3", "--precision", "128"]),
+        ({"TAMEBC_PRECISION": "8"}, ["oracle-cokernel", "--n", "2", "--d", "25", "--p", "3"]),
+        ({}, ["oracle-cokernel", "--n", "2", "--d", "25", "--p", "3", "--precision", "8"]),
+        ({"TAMEBC_PRECISION": "128"}, ["oracle-cokernel", "--n", "2", "--d", "25", "--p", "3"]),
+        ({}, ["pushout", "--check", "membership", "--gluing", "two-points", "--poly", "t^2 - t"]),
+        ({}, ["pushout", "--check", "membership", "--gluing", "two-points"]),
+        ({}, ["order", "--torus", "res:3"]),
+        ({}, ["order", "--torus", "res:3", "--d", "7"]),
+    ]
+
+    def test_calls_in_sequence_match_fresh_runs(self, capsys, monkeypatch):
+        from tamebc import cli
+
+        def call(env, argv):
+            with monkeypatch.context() as m:
+                m.delenv("TAMEBC_PRECISION", raising=False)
+                for name, value in env.items():
+                    m.setenv(name, value)
+                return invoke(capsys, *argv)
+
+        in_sequence = [call(env, argv) for env, argv in self.SEQUENCE]
+        fresh = []
+        for env, argv in self.SEQUENCE:
+            cli._build_parser.cache_clear()
+            fresh.append(call(env, argv))
+        assert in_sequence == fresh
+        assert [code for code, _, _ in in_sequence] == [0, 0, 0, 1, 1, 0, 0, 1, 2, 0]
+        assert [out for _, out, _ in in_sequence[:3]] == [
+            "commutes: false, defect: 4\n", "commutes: false, defect: 1\n", "0, 12\n"]
+        assert in_sequence[3][2].startswith("PrecisionExhausted")
+        assert in_sequence[5][1] == "0, 12\n"
+        assert in_sequence[7][2].startswith("SpecFileError: membership check needs --poly")
+        assert "the following arguments are required: --d" in in_sequence[8][2]
+
+    def test_parser_is_built_once(self):
+        from tamebc import cli
+
+        assert cli._build_parser() is cli._build_parser()
+
+
 README_EXAMPLES = re.findall(
     r"^tamebc (.+?)\s+# (.+)$",
     (Path(__file__).resolve().parent.parent / "README.md").read_text(),

@@ -1,13 +1,19 @@
-"""Differential tests of the one elimination over O_K/pi^N.
+"""Differential tests of the one elimination over O_K/pi^N, and of the
+push-out checks that need none.
 
-``smith_normal_form`` and the push-out F_p ranks are read off the pivots
-of ``column_echelon``.  The references below are the independent
-eliminations they replace: a row-and-column Smith loop over the
-truncated ring and a Gaussian elimination over F_p.  Both sides must give
-the same exponents, ranks and defects, or raise the same error class.
+``smith_normal_form`` is read off the pivots of ``column_echelon``, and
+the push-out checks off the staircase of their generators.  The
+references below are independent computations: a row-and-column Smith
+loop over the truncated ring, a Gaussian elimination over F_p, and the
+push-out checks computed by ``column_echelon``, ``coordinates_in_echelon``
+and a Smith form.  Both sides must give the same exponents, ranks and
+defects, or raise the same error class.
 """
 
 import random
+import sys
+import types
+from pathlib import Path
 
 import pytest
 
@@ -26,7 +32,13 @@ from tamebc import (
 )
 from tamebc import _intmat
 from tamebc.dvr import column_echelon, coordinates_in_echelon
-from tamebc.errors import DomainError, PrecisionExhausted
+from tamebc.errors import (
+    ConfigMismatch,
+    DegreeBound,
+    DomainError,
+    PrecisionExhausted,
+    SpecInvariantViolation,
+)
 from tamebc.pushout import _fp_rank
 
 
@@ -178,7 +190,7 @@ def test_smith_precision_exhausted_counts_pivots():
 
 
 # ---------------------------------------------------------------------------
-# the push-out diagnostics against the parent pipeline
+# the push-out diagnostics against an elimination pipeline
 # ---------------------------------------------------------------------------
 
 def ref_generators(algebra, monic, bound):
@@ -209,8 +221,10 @@ def ref_monic(spec):
         list(spec.eisenstein.coeffs) + [TruncSeries.one(spec.algebra.config)])
 
 
-def ref_tor_defect(spec):
-    bound = spec.algebra.degree_bound
+def ref_tor_defect(spec, degree_bound=None):
+    bound = spec.algebra.degree_bound if degree_bound is None else degree_bound
+    if not 2 <= bound <= spec.algebra.degree_bound:
+        raise DegreeBound(f"slice bound {bound} outside [2, {spec.algebra.degree_bound}]")
     basis = ref_basis(spec.algebra, ref_monic(spec), bound)
     return len(basis) - ref_fp_rank([reduced(c) for c, _ in basis], spec.algebra.config.p)
 
@@ -231,6 +245,10 @@ def ref_base_change(spec, target):
         cond_rank = ref_fp_rank([list(c) for c in zip(*conditions)], p) if conditions else 0
         defect = (len(basis) - rank) + (bound + 1 - cond_rank - rank)
         return defect == 0, defect
+    if not isinstance(target, TameContext):
+        raise SpecInvariantViolation(f"unknown base-change target {target!r}")
+    if target.base != algebra.config:
+        raise ConfigMismatch("tame context is over a different base")
     for col, r in basis:
         if col[r].valuation * target.d >= algebra.config.precision:
             raise PrecisionExhausted("pivot valuation exceeds precision after extension")
@@ -247,6 +265,8 @@ def ref_base_change(spec, target):
 
 
 def ref_generator_check(spec):
+    if not isinstance(spec, WildPointGluing):
+        raise SpecInvariantViolation("generator check applies to wild-point gluings")
     algebra = spec.algebra
     bound = algebra.degree_bound
     monic = ref_monic(spec)
@@ -263,7 +283,7 @@ def ref_generator_check(spec):
 
 def random_gluing(rng):
     p = rng.choice(PRIMES)
-    cfg = DVRConfig(p, rng.choice((4, 8, 12, 16, 24)))
+    cfg = DVRConfig(p, rng.choice((2, 3, 4, 8, 12, 16, 24)))
     bound = rng.randrange(2, 8)
     algebra = PolyAlgebra(cfg, bound)
     if rng.random() < 0.3:
@@ -282,20 +302,92 @@ def random_gluing(rng):
     return WildPointGluing(algebra, P)
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_pushout_checks_match_reference(seed):
-    rng = random.Random(200 + seed)
-    for _ in range(50):
+def gluing_queries(seed, count):
+    """(spec, check name, args) of the push-out checks on random gluings:
+    the slice bound of tor_defect inside and outside [2, D], every tame
+    level d <= N + 2 prime to p, a context over another base and a
+    target that is neither."""
+    rng = random.Random(seed)
+    for _ in range(count):
         spec = random_gluing(rng)
         cfg = spec.algebra.config
-        assert outcome(tor_defect, spec) == outcome(ref_tor_defect, spec)
-        assert outcome(base_change_commutes, spec, "k") == outcome(ref_base_change, spec, "k")
-        d = rng.choice([d for d in (1, 2, 3, 4, 5, 7) if d % cfg.p])
-        ctx = TameContext(d, cfg)
-        assert (outcome(base_change_commutes, spec, ctx)
-                == outcome(ref_base_change, spec, ctx))
-        if isinstance(spec, WildPointGluing):
-            assert generator_check(spec) == ref_generator_check(spec)
+        bound = spec.algebra.degree_bound
+        yield spec, "tor_defect", (spec,)
+        yield spec, "tor_defect", (spec, rng.choice((0, 1, bound + 1, rng.randrange(2, bound + 1))))
+        yield spec, "base_change_commutes", (spec, "k")
+        d = rng.choice([d for d in range(1, cfg.precision + 3) if d % cfg.p])
+        yield spec, "base_change_commutes", (spec, TameContext(d, cfg))
+        if rng.random() < 0.1:
+            other = DVRConfig(cfg.p, cfg.precision + 1)
+            yield spec, "base_change_commutes", (spec, TameContext(d, other))
+            yield spec, "base_change_commutes", (spec, "K")
+        yield spec, "generator_check", (spec,)
+
+
+REFERENCES = {
+    "tor_defect": ref_tor_defect,
+    "base_change_commutes": ref_base_change,
+    "generator_check": ref_generator_check,
+}
+
+
+def reference_mismatches(module, seed, count, tally=None):
+    """Queries where ``module``'s push-out checks and the elimination
+    pipeline differ in answer or error class."""
+    bad = []
+    for spec, name, args in gluing_queries(seed, count):
+        new = outcome(getattr(module, name), *args)
+        if new != outcome(REFERENCES[name], *args):
+            bad.append((name, args, new))
+        if tally is not None:
+            key = new if isinstance(new, str) else name
+            tally[key] = tally.get(key, 0) + 1
+    return bad
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pushout_checks_match_reference(seed):
+    import tamebc.pushout as pushout_module
+
+    tally = {}
+    assert reference_mismatches(pushout_module, 200 + seed, 60, tally) == []
+    # the sample must reach every outcome
+    for key in ("tor_defect", "base_change_commutes", "generator_check",
+                "PrecisionExhausted", "DegreeBound", "ConfigMismatch",
+                "SpecInvariantViolation"):
+        assert tally.get(key, 0) > 0, (key, tally)
+
+
+def pushout_mutant(old, new):
+    """``tamebc.pushout`` with one edit to its source; the gluing classes
+    are shared with the real module so that its specs are accepted."""
+    import tamebc.pushout as pushout_module
+
+    source = Path(pushout_module.__file__).read_text()
+    assert source.count(old) == 1, old
+    module = types.ModuleType("tamebc._pushout_mutant")
+    module.__package__ = "tamebc"
+    sys.modules[module.__name__] = module
+    try:
+        exec(compile(source.replace(old, new), module.__name__, "exec"), vars(module))
+    finally:
+        del sys.modules[module.__name__]
+    for name in ("PolyAlgebra", "GluingSpec", "TwoPointsGluing", "WildPointGluing"):
+        setattr(module, name, getattr(pushout_module, name))
+    return module
+
+
+MUTANTS = {
+    "d-for-d-minus-1": ("defect += (target.d - 1) * v", "defect += target.d * v"),
+    "no-pi-t-pivot": ("gens.append(algebra.monomial(1, TruncSeries.uniformizer(cfg)))", "pass"),
+    "n-conditions": ("codimension = spec.eisenstein.degree - 1",
+                     "codimension = spec.eisenstein.degree"),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+def test_pushout_reference_catches_mutant(mutant):
+    assert reference_mismatches(pushout_mutant(*MUTANTS[mutant]), 200, 60)
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +526,7 @@ def test_echelon_and_coordinates_match_reference(seed):
 
 
 # ---------------------------------------------------------------------------
-# work done by the push-out checks: no product with a zero operand, and one
-# pivot inverse per pivot inside column_echelon
+# work done by the push-out checks: no elimination and no series product
 # ---------------------------------------------------------------------------
 
 def named_gluing():
@@ -458,44 +549,36 @@ def dense_gluing():
 @pytest.mark.parametrize("build", [named_gluing, dense_gluing])
 def test_pushout_checks_skip_known_work(build, monkeypatch):
     import tamebc.dvr as dvr_module
-    import tamebc.pushout as pushout_module
 
     spec, ctx = build()
-    products = []
-    divides = [0]
-    windows = []
-    mul = TruncSeries.__mul__
-    unit_divide = TruncSeries.unit_divide
-    echelon = dvr_module.column_echelon
+    calls = []
 
-    def counted_mul(a, b):
-        products.append(a.is_zero() or b.is_zero())
-        return mul(a, b)
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
 
-    def counted_unit_divide(a, b):
-        divides[0] += 1
-        return unit_divide(a, b)
-
-    def counted_echelon(columns):
-        before = divides[0]
-        basis = echelon(columns)
-        windows.append((divides[0] - before, len(basis)))
-        return basis
-
-    monkeypatch.setattr(TruncSeries, "__mul__", counted_mul)
-    monkeypatch.setattr(TruncSeries, "unit_divide", counted_unit_divide)
-    monkeypatch.setattr(dvr_module, "column_echelon", counted_echelon)
-    monkeypatch.setattr(pushout_module, "column_echelon", counted_echelon)
+    # every binding in the package, as the benchmark tracer patches them
+    modules = [m for key, m in sys.modules.items()
+               if m is not None and (key == "tamebc" or key.startswith("tamebc."))]
+    for name in ("column_echelon", "smith_normal_form", "coordinates_in_echelon"):
+        original = getattr(dvr_module, name)
+        for module in modules:
+            if vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, counted(name, original))
+    for name in ("__mul__", "unit_divide"):
+        monkeypatch.setattr(TruncSeries, name, counted(name, getattr(TruncSeries, name)))
 
     assert generator_check(spec)
-    tor_defect(spec)
-    base_change_commutes(spec, "k")
-    base_change_commutes(spec, ctx)
-    assert products and not any(products)
-    # generator_check, tor_defect, two slice bases per base change, one Smith form
-    assert len(windows) == 6
-    assert all(count <= pivots for count, pivots in windows), windows
-    assert sum(count for count, _ in windows) > 0
+    assert tor_defect(spec) == 0
+    assert base_change_commutes(spec, "k") == (True, 0)
+    assert base_change_commutes(spec, ctx) == (True, 0)
+    assert calls == []
+    # the counters are live
+    one = TruncSeries.one(spec.algebra.config)
+    dvr_module.smith_normal_form([[one, one], [one, one + one]])
+    assert {"smith_normal_form", "column_echelon", "__mul__", "unit_divide"} <= set(calls)
 
 
 # ---------------------------------------------------------------------------
