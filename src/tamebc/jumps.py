@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import SpecInvariantViolation
 
@@ -311,10 +311,24 @@ def _floor_sum(jumps: JumpMultiset, d: int) -> int:
 
 
 def order_function(spec: Torus, d: int) -> int:
-    """Total length of the level-d cokernel: the sum of the d-jumps."""
+    """Total length of the level-d cokernel: the sum of the d-jumps, in
+    closed form per atom.  Res(n) and ResQuot(n) (whose dropped jump 0 adds
+    nothing) sum floor(d*v/n) over v < n to ((n-1)(d-1) + gcd(n, d) - 1)/2."""
     if d < 1:
         raise SpecInvariantViolation("need d >= 1")
-    return _floor_sum(torus_jumps(spec), d)
+    return _atom_order(spec, d)
+
+
+def _atom_order(spec: Torus, d: int) -> int:
+    if isinstance(spec, (Res, ResQuot)):
+        return ((spec.n - 1) * (d - 1) + gcd(spec.n, d) - 1) // 2
+    if isinstance(spec, NormOneQuadratic):
+        return d // 2
+    if isinstance(spec, Product):
+        return sum(_atom_order(f, d) for f in spec.factors)
+    if isinstance(spec, Gm):
+        return 0
+    raise SpecInvariantViolation(f"unknown torus node {spec!r}")
 
 
 def order_recursion_check(spec: Torus, alpha: int, q: int) -> bool:

@@ -15,6 +15,11 @@ described by a ``JacobianSpec`` (geometric-series summation of the
 per-level classes: a polynomial c(q) of degree at most t summed against
 x^q is (1-x)^(-t-1) times its (t+1)-fold finite difference, a polynomial
 of degree at most t read off from c(0), ..., c(t)).
+
+No generic product runs per residue or per series step: times L^k is a
+shift of the L exponents, so a Jacobian residue's head is a shifted,
+scaled copy of (L-1)^t * ab_class, and the renderer's division by (L-1)
+walks only the L exponents present.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from .errors import (
     SpecInvariantViolation,
     UniquenessViolated,
 )
-from .jumps import JumpMultiset, Res, edixhoven_graded, order_function
+from .jumps import JumpMultiset, Res, _floor_sum, order_function
 
 __all__ = [
     "MotivicPoly",
@@ -57,40 +62,42 @@ class MotivicPoly:
     """Sparse polynomial with integer coefficients in L and named atoms.
 
     Terms are stored as ``{(L_exp, atoms): coeff}`` where ``atoms`` is a
-    sorted tuple of (name, exponent) pairs with positive exponents.
+    sorted tuple of (name, exponent) pairs with positive exponents; the
+    constructor sorts, merges repeated names and drops zero exponents.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         data = {}
-        if terms:
-            for key, c in terms.items():
-                if c:
-                    data[key] = data.get(key, 0) + c
+        for key, c in (terms or {}).items():
+            if not isinstance(c, int):
+                raise SpecInvariantViolation(f"coefficient {c!r} is not an integer")
+            key = _term_key(key)
+            data[key] = data.get(key, 0) + c
         self.terms = {k: c for k, c in data.items() if c}
 
     # -- constructors --------------------------------------------------
 
     @classmethod
     def zero(cls) -> "MotivicPoly":
-        return cls()
+        return _poly({})
 
     @classmethod
     def from_int(cls, c: int) -> "MotivicPoly":
-        return cls({(0, ()): int(c)})
+        c = int(c)
+        return _poly({(0, ()): c} if c else {})
 
     @classmethod
     def L(cls, exp: int = 1) -> "MotivicPoly":
         if exp < 0:
             raise SpecInvariantViolation("L exponent must be >= 0")
-        return cls({(exp, ()): 1})
+        return _poly({(exp, ()): 1})
 
     @classmethod
     def atom(cls, name: str) -> "MotivicPoly":
-        if not name or name == "L" or not name.isidentifier():
-            raise SpecInvariantViolation(f"bad atom name {name!r}")
-        return cls({(0, ((name, 1),)): 1})
+        _check_atom_name(name)
+        return _poly({(0, ((name, 1),)): 1})
 
     @staticmethod
     def coerce(value) -> "MotivicPoly":
@@ -114,19 +121,18 @@ class MotivicPoly:
         return isinstance(other, MotivicPoly) and self.terms == other.terms
 
     def __hash__(self):
+        # a constant hashes as the int it equals
+        if self.terms.keys() <= {(0, ())}:
+            return hash(self.terms.get((0, ()), 0))
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
-        other = MotivicPoly.coerce(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return MotivicPoly(out)
+        return _plus_shifted(self, MotivicPoly.coerce(other), 0)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MotivicPoly({k: -c for k, c in self.terms.items()})
+        return _poly({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-MotivicPoly.coerce(other))
@@ -141,7 +147,7 @@ class MotivicPoly:
             for (lb, ab), cb in other.terms.items():
                 key = (la + lb, _merge_atoms(aa, ab))
                 out[key] = out.get(key, 0) + ca * cb
-        return MotivicPoly(out)
+        return _poly({k: c for k, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -162,7 +168,7 @@ class MotivicPoly:
     def divide_by_L_minus_one(self):
         """Return the exact quotient by (L - 1), or None if not divisible."""
         q = _zpoly_div_l_minus_one({(0, le, at): c for (le, at), c in self.terms.items()})
-        return None if q is None else MotivicPoly({(le, at): c for (_, le, at), c in q.items()})
+        return None if q is None else _poly({(le, at): c for (_, le, at), c in q.items()})
 
     def __repr__(self):
         return _render_terms(
@@ -170,11 +176,49 @@ class MotivicPoly:
         ) if self.terms else "0"
 
 
+def _poly(terms: dict) -> MotivicPoly:
+    """Trusted constructor: ``terms`` has canonical keys and no zero
+    coefficient."""
+    p = object.__new__(MotivicPoly)
+    p.terms = terms
+    return p
+
+
+def _check_atom_name(name):
+    if not isinstance(name, str) or name == "L" or not name.isidentifier():
+        raise SpecInvariantViolation(f"bad atom name {name!r}")
+
+
+def _term_key(key):
+    """Canonical form of a public (L_exp, atoms) key."""
+    le, atoms = key
+    if not all(isinstance(x, int) and x >= 0 for x in (le, *(e for _, e in atoms))):
+        raise SpecInvariantViolation(f"negative or non-integer exponent in {key!r}")
+    merged = {}
+    for name, e in atoms:
+        _check_atom_name(name)
+        merged[name] = merged.get(name, 0) + e
+    return le, tuple(sorted((name, e) for name, e in merged.items() if e))
+
+
 def _merge_atoms(a, b):
     out = dict(a)
     for name, e in b:
         out[name] = out.get(name, 0) + e
     return tuple(sorted(out.items()))
+
+
+def _plus_shifted(p, q, a):
+    """p + L^a * q; p may be None for zero."""
+    out = dict(p.terms) if p is not None else {}
+    for (le, atoms), c in q.terms.items():
+        key = (le + a, atoms)
+        c += out.get(key, 0)
+        if c:
+            out[key] = c
+        else:
+            del out[key]
+    return _poly(out)
 
 
 # ---------------------------------------------------------------------------
@@ -235,13 +279,14 @@ class CycloRational:
 
 def _series_divide(numerator: dict, a: int, b: int, order: int) -> dict:
     """Coefficients z^0 .. z^order of numerator / (1 - L^a z^b)."""
-    la = MotivicPoly.L(a)
+    if a < 0:
+        raise SpecInvariantViolation("L exponent must be >= 0")
     q = {}
     for k in range(order + 1):
-        val = numerator.get(k, MotivicPoly.zero())
+        val = numerator.get(k)
         if k - b in q:
-            val = val + la * q[k - b]
-        if not val.is_zero():
+            val = _plus_shifted(val, q[k - b], a)
+        if val:
             q[k] = val
     return q
 
@@ -251,16 +296,9 @@ def _divide_once(numerator: dict, a: int, b: int):
     if not numerator:
         return {}
     kmax = max(numerator)
-    q = _series_divide(numerator, a, b, kmax - b)
-    # the remainder numerator - (1 - L^a z^b)*q sits in degrees above kmax-b
-    la = MotivicPoly.L(a)
-    for k in range(max(kmax - b + 1, 0), kmax + 1):
-        rem = numerator.get(k, MotivicPoly.zero())
-        if k - b in q:
-            rem = rem + la * q[k - b]
-        if not rem.is_zero():
-            return None
-    return q
+    q = _series_divide(numerator, a, b, kmax)
+    # the series terms above kmax-b are the remainder of the division
+    return q if max(q) <= kmax - b else None
 
 
 def reduce(r: CycloRational) -> CycloRational:
@@ -306,12 +344,12 @@ def zeta_induced_torus(n: int, p: int) -> CycloRational:
     """
     _purely_wild_degree(n, p)
     torus = Res(n)
-    coeff = MotivicPoly.L(n - 1) * (MotivicPoly.L() - 1)
     num = {}
     for alpha in range(1, n + 1):
         if alpha % p == 0:
             continue
-        num[alpha] = coeff * MotivicPoly.L(order_function(torus, alpha))
+        k = n - 1 + order_function(torus, alpha)
+        num[alpha] = _poly({(k + 1, ()): 1, (k, ()): -1})
     den = ((n * (n - 1) // 2, n),)
     return reduce(CycloRational(num, den))
 
@@ -416,9 +454,7 @@ class JacobianSpec:
 
 def jacobian_order(spec: JacobianSpec, alpha: int) -> int:
     """ord at level alpha: toric floor sum plus graded abelian jumps."""
-    toric = order_function(Res(spec.n), alpha)
-    abelian = edixhoven_graded(spec.abelian_jumps, alpha).order()
-    return toric + abelian
+    return order_function(Res(spec.n), alpha) + _floor_sum(spec.abelian_jumps, alpha)
 
 
 def component_count(n: int, spec: JacobianSpec, alpha_prime: int) -> int:
@@ -453,32 +489,31 @@ def zeta_jacobian(spec: JacobianSpec) -> CycloRational:
     ec = int(ec)
     t_max = max(data.t for data in spec.divisors.values())
 
+    classes = {
+        a1: (_l_minus_one_power(data.t) * data.ab_class).terms
+        for a1, data in spec.divisors.items()
+    }
     num = {}
-    base_class = MotivicPoly.L(n - 1)
-    l_minus_1 = MotivicPoly.L() - 1
     for alpha in range(1, e + 1):
         if alpha % p == 0:
             continue
         a1 = gcd(alpha, e)
         data = spec.divisors[a1]
-        t1 = data.t
-        head = (
-            (n * data.phi_tilde)
-            * base_class
-            * l_minus_1 ** t1
-            * MotivicPoly.L(data.u)
-            * data.ab_class
-            * MotivicPoly.L(jacobian_order(spec, alpha))
-        )
-        term = _difference_numerator(alpha, e, a1, t1, t_max)
-        for i, coeff in enumerate(term):
-            if coeff == 0:
-                continue
-            key = alpha + e * i
-            contrib = head * MotivicPoly.L(ec * i) * coeff
-            num[key] = num.get(key, MotivicPoly.zero()) + contrib
+        shift = n - 1 + data.u + jacobian_order(spec, alpha)
+        scale = n * data.phi_tilde
+        cls = classes[a1]
+        for i, coeff in enumerate(_difference_numerator(alpha, e, a1, data.t, t_max)):
+            if coeff:
+                # the keys alpha + e*i are distinct and m != 0: nothing adds up or cancels
+                s, m = shift + ec * i, scale * coeff
+                num[alpha + e * i] = _poly({(le + s, at): c * m for (le, at), c in cls.items()})
     den = ((ec, e),) * (t_max + 1)
     return reduce(CycloRational(num, den))
+
+
+def _l_minus_one_power(t: int) -> MotivicPoly:
+    """(L-1)^t from binomial coefficients."""
+    return _poly({(k, ()): comb(t, k) * (-1) ** (t - k) for k in range(t + 1)})
 
 
 def _difference_numerator(alpha: int, e: int, a1: int, t1: int, t_max: int) -> list:
@@ -567,16 +602,9 @@ def _render_terms(flat):
     return "".join(pieces)
 
 
-def _flatten_numerator(numerator):
-    flat = []
-    for z, poly in numerator.items():
-        for (le, atoms), c in poly.terms.items():
-            flat.append((c, z, le, atoms))
-    return flat
-
-
 def _render_numerator(numerator) -> str:
-    flat = _flatten_numerator(numerator)
+    flat = [(c, z, le, atoms) for z, poly in numerator.items()
+            for (le, atoms), c in poly.terms.items()]
     if not flat:
         return "0"
     # factored canonical form: content * (L-1)^b * L^a * atoms * z^k * (rest)
@@ -587,26 +615,19 @@ def _render_numerator(numerator) -> str:
         g = -g
     z_min = min(z for _, z, _, _ in flat)
     l_min = min(le for _, _, le, _ in flat)
-    atom_min = None
-    for _, _, _, atoms in flat:
+    atom_min = dict(flat[0][3])
+    for *_, atoms in flat:
+        if not atom_min:
+            break
         d = dict(atoms)
-        if atom_min is None:
-            atom_min = d
-        else:
-            atom_min = {k: min(v, d.get(k, 0)) for k, v in atom_min.items()}
-        atom_min = {k: v for k, v in atom_min.items() if v > 0}
-    atom_min = atom_min or {}
-    rest_terms = {}
-    for c, z, le, atoms in flat:
-        reduced_atoms = tuple(
-            sorted(
-                (k, v - atom_min.get(k, 0))
-                for k, v in dict(atoms).items()
-                if v - atom_min.get(k, 0) > 0
-            )
-        )
-        key = (z - z_min, le - l_min, reduced_atoms)
-        rest_terms[key] = rest_terms.get(key, 0) + c // g
+        atom_min = {k: min(v, d[k]) for k, v in atom_min.items() if k in d}
+    # removing the common factors maps distinct terms to distinct keys
+    rest_terms = {
+        (z - z_min, le - l_min, tuple(
+            (k, v - atom_min.get(k, 0)) for k, v in atoms if v > atom_min.get(k, 0)
+        ) if atom_min else atoms): c // g
+        for c, z, le, atoms in flat
+    }
     lm1_power = 0
     while True:
         quotient = _zpoly_div_l_minus_one(rest_terms)
@@ -638,21 +659,24 @@ def _render_numerator(numerator) -> str:
 
 
 def _zpoly_div_l_minus_one(terms):
-    """Exact quotient by (L-1) of a flat numerator, or None."""
+    """Exact quotient by (L-1) of a flat numerator, or None.  In each
+    (z, atoms) group the quotient's coefficient of L^(k-1) is the sum of
+    those of L^k and above: 0 at k = 0 when divisible, constant between
+    two exponents present."""
     groups = {}
     for (z, le, atoms), c in terms.items():
         groups.setdefault((z, atoms), {})[le] = c
+    if any(sum(by_le.values()) for by_le in groups.values()):
+        return None
     out = {}
     for (z, atoms), by_le in groups.items():
-        top = max(by_le)
+        exps = sorted(by_le, reverse=True)
         carry = 0
-        for le in range(top, 0, -1):
-            q = by_le.get(le, 0) + carry
-            if q:
-                out[(z, le - 1, atoms)] = q
-            carry = q
-        if by_le.get(0, 0) + carry != 0:
-            return None
+        for top, low in zip(exps, exps[1:]):
+            carry += by_le[top]
+            if carry:
+                for le in range(low, top):
+                    out[(z, le, atoms)] = carry
     return out
 
 

@@ -135,17 +135,17 @@ def ref_expand(r, order):
     return cur
 
 
-def random_torus(rng, depth=0):
+def random_torus(rng, depth=0, max_n=9):
     kind = rng.randrange(5 if depth < 2 else 4)
     if kind == 0:
         return Gm()
     if kind == 1:
-        return Res(rng.randint(1, 9))
+        return Res(rng.randint(1, max_n))
     if kind == 2:
-        return ResQuot(rng.randint(1, 9))
+        return ResQuot(rng.randint(1, max_n))
     if kind == 3:
         return NormOneQuadratic()
-    return Product(tuple(random_torus(rng, depth + 1) for _ in range(rng.randint(0, 4))))
+    return Product(tuple(random_torus(rng, depth + 1, max_n) for _ in range(rng.randint(0, 4))))
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +204,16 @@ def test_order_function_matches_graded_jumps():
         jumps = torus_jumps(spec)
         for d in rng.sample(range(1, 80), 6):
             assert order_function(spec, d) == edixhoven_graded(jumps, d).order()
+    # the per-atom closed forms at degrees up to 60 and levels up to 200
+    for _ in range(300):
+        spec = random_torus(rng, max_n=60)
+        jumps = torus_jumps(spec)
+        for d in rng.sample(range(1, 201), 6):
+            assert order_function(spec, d) == edixhoven_graded(jumps, d).order()
+    for n in range(1, 61):
+        for d in rng.sample(range(1, 201), 12):
+            for spec in (Res(n), ResQuot(n)):
+                assert order_function(spec, d) == edixhoven_graded(torus_jumps(spec), d).order()
     with pytest.raises(SpecInvariantViolation):
         order_function(Res(3), 0)
 

@@ -55,6 +55,42 @@ class TestMotivicPoly:
         with pytest.raises(SpecInvariantViolation):
             MotivicPoly.atom("bad name")
 
+    def test_constant_hashes_as_its_int(self):
+        for c in (0, 3, -7):
+            assert MotivicPoly.from_int(c) == c
+            assert hash(MotivicPoly.from_int(c)) == hash(c)
+            assert {MotivicPoly.from_int(c): 1}.get(c) == 1
+        assert hash(MotivicPoly.zero()) == hash(0)
+        assert hash(L() - 1) == hash(MotivicPoly({(0, ()): -1, (1, ()): 1}))
+
+    def test_constructor_normalises_atoms(self):
+        a, b = MotivicPoly.atom("A"), MotivicPoly.atom("B")
+        assert MotivicPoly({(0, (("A", 0),)): 1}) == 1
+        assert repr(MotivicPoly({(0, (("A", 0),)): 1})) == "1"
+        assert MotivicPoly({(2, (("B", 1), ("A", 1))): 3}) == 3 * L(2) * a * b
+        assert MotivicPoly({(0, (("A", 1), ("A", 2))): 1}) == a ** 3
+        # keys that normalise to the same term add up
+        assert MotivicPoly({(0, (("A", 0),)): 2, (0, ()): -2}) == 0
+        assert MotivicPoly({}) == 0 and MotivicPoly() == 0
+
+    @pytest.mark.parametrize("key", [
+        (0, (("A", -1),)),
+        (-1, ()),
+        (0, (("L", 1),)),
+        (0, (("bad name", 1),)),
+        (0, (("", 1),)),
+        (0, ((3, 1),)),
+        (0, (("A", 1.5),)),
+    ])
+    def test_constructor_rejects_malformed_keys(self, key):
+        with pytest.raises(SpecInvariantViolation):
+            MotivicPoly({key: 1})
+
+    def test_constructor_rejects_non_integer_coefficients(self):
+        for c in (F(1, 2), 2.5, "3"):
+            with pytest.raises(SpecInvariantViolation):
+                MotivicPoly({(1, ()): c})
+
 
 class TestReduce:
     def test_exact_cancellation(self):
