@@ -81,7 +81,6 @@ from .lattice import (
 )
 from .pushout import (
     DEFAULT_DEGREE_BOUND,
-    FiberElement,
     GluingSpec,
     PolyAlgebra,
     TwoPointsGluing,

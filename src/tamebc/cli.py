@@ -82,8 +82,16 @@ def _load(path, want, what):
     return obj
 
 
+def _exclusive(args, flag, others):
+    """Reject ``flag`` given together with any of ``others``."""
+    for other in others:
+        if getattr(args, other) is not None:
+            raise SpecFileError(f"--{flag} contradicts --{other}")
+
+
 def _torus_arg(args) -> "Torus":
-    if getattr(args, "spec", None):
+    if args.spec:
+        _exclusive(args, "spec", ["torus"])
         return _load(args.spec, Torus, "torus")
     if args.torus is None:
         raise SpecFileError("need --torus EXPR or --spec FILE")
@@ -117,7 +125,8 @@ def _target_arg(text: str):
 
 
 def _gluing_arg(args) -> "GluingSpec":
-    if getattr(args, "spec", None):
+    if args.spec:
+        _exclusive(args, "spec", ["gluing", "eisenstein"])
         return _load(args.spec, (TwoPointsGluing, WildPointGluing), "gluing")
     if args.gluing is None:
         raise SpecFileError("need --gluing two-points|wild-point or --spec FILE")
@@ -127,6 +136,7 @@ def _gluing_arg(args) -> "GluingSpec":
         bound = _env_int("TAMEBC_DEGREE_BOUND", DEFAULT_DEGREE_BOUND)
     algebra = PolyAlgebra(config, bound)
     if args.gluing == "two-points":
+        _exclusive(args, "gluing two-points", ["eisenstein"])
         return TwoPointsGluing(algebra)
     if args.gluing == "wild-point":
         if args.eisenstein is None:
@@ -143,11 +153,17 @@ def _cmd_jumps(args, out):
     print(torus_jumps(_torus_arg(args)), file=out)
 
 
+def _d_jumps_arg(args):
+    """The d-jumps of the induced torus of degree --n (closed form), or of
+    the torus of --torus or --spec (interval counting)."""
+    if args.n is None:
+        return edixhoven_graded(torus_jumps(_torus_arg(args)), args.d)
+    _exclusive(args, "n", ["torus", "spec"])
+    return d_jumps_closed_form(args.n, args.d)
+
+
 def _cmd_d_jumps(args, out):
-    if args.n is not None:
-        print(d_jumps_closed_form(args.n, args.d), file=out)
-    else:
-        print(edixhoven_graded(torus_jumps(_torus_arg(args)), args.d), file=out)
+    print(_d_jumps_arg(args), file=out)
 
 
 def _cmd_order(args, out):
@@ -159,11 +175,7 @@ def _cmd_conductor(args, out):
 
 
 def _cmd_characters(args, out):
-    if args.n is not None:
-        dj = d_jumps_closed_form(args.n, args.d)
-    else:
-        dj = edixhoven_graded(torus_jumps(_torus_arg(args)), args.d)
-    print(character_decomposition(dj), file=out)
+    print(character_decomposition(_d_jumps_arg(args)), file=out)
 
 
 def _cmd_zeta_torus(args, out):
@@ -177,6 +189,7 @@ def _cmd_zeta_jacobian(args, out):
 
 def _cmd_pole(args, out):
     if args.spec:
+        _exclusive(args, "spec", ["n", "p"])
         spec = _load(args.spec, JacobianSpec, "jacobian")
         report = pole_report(zeta_jacobian(spec))
     else:

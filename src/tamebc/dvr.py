@@ -397,7 +397,7 @@ class EisensteinPoly:
                 f"constant coefficient has valuation {coeffs[0].valuation}, need exactly 1"
             )
         for i, c in enumerate(coeffs[1:], start=1):
-            if c.valuation < 1:
+            if c.is_unit():
                 raise SpecInvariantViolation(
                     f"coefficient of t^{i} is a unit; polynomial is not Eisenstein"
                 )
@@ -425,7 +425,7 @@ class EisensteinPoly:
         )
 
     def __repr__(self):
-        parts = [f"t^{self.degree}"]
+        parts = [f"t^{self.degree}" if self.degree > 1 else "t"]
         for i in range(self.degree - 1, -1, -1):
             c = self.coeffs[i]
             if not c.is_zero():

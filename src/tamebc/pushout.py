@@ -3,59 +3,48 @@
 The ambient object is A = O_K[t] cut off at a degree bound D.  Two
 gluings are supported:
 
-* wild-point: the subring A' = O_K + (P) for a monic Eisenstein P, the
-  coordinate ring obtained by gluing the ramified point Spec O_K[t]/(P)
-  down to Spec O_K;
+* wild-point: the subring A' = O_K + (P) for a monic Eisenstein P of
+  degree n, the coordinate ring obtained by gluing the ramified point
+  Spec O_K[t]/(P) down to Spec O_K;
 * two-points: the subring of polynomials whose values at t=0 and t=1
   agree modulo pi, obtained by identifying two points of the special
   fibre of the affine line.
 
-The checks work on the degree-at-most-D slice: membership predicates,
-the Tor obstruction to base change (kernel of A' tensor k -> A tensor k),
-a nilpotent witness for the non-reducedness of the two-points special
-fibre, module generation of A over A', and a direct comparison of
-"tensor then glue" against "glue then tensor".
+Membership and the nilpotent witness work on the given polynomial.  The
+Tor obstruction to base change, module generation of A over A' and the
+comparison of "tensor then glue" against "glue then tensor" depend only
+on the gluing kind, and for a tame base change of two-points on its
+degree d, so each returns a closed form.  The proofs read the slice of
+A' over O_K off its basis: 1, P, P*t, ..., P*t^(D-n) for wild-point and
+1, pi*t, t^i - t (2 <= i <= D) for two-points.  The degrees are
+distinct and the leading coefficients are 1, except pi for pi*t, which
+is nonzero at every precision N >= 2.  Mod pi the monic elements stay
+independent and pi*t vanishes.
 
-None of them needs an elimination, because the generators of the slice
-of A' over O_K are already a staircase basis.  They are 1, P, P*t, ...,
-P*t^(D-n) for wild-point and 1, pi*t, t^i - t (2 <= i <= D) for
-two-points.  Their degrees are distinct, so listed highest degree first,
-with the degree as pivot row and the leading coefficient as pivot, each
-pivot row is zero in every later column: the contract of
-``column_echelon`` output.  The pivots are 1 for the monic generators and
-pi for pi*t, which is nonzero at every precision N >= 2, so no column
-vanishes.  pi*t is pi times a column, so every column with a non-unit
-pivot reduces to 0 mod pi, and the F_p rank of the reduced basis is the
-number of unit pivots (``_fp_rank``).
-
-* Tor defect.  A' tensor k -> A tensor k sends the basis to its
-  reductions, so its kernel has dimension len(basis) - rank: 0 for
-  wild-point, 1 (the class of pi*t) for two-points.
-* Generators.  The products 1 * t^i (i < n) and P*t^j (j <= D - n) are
-  among the products (element of A') * t^i, and they are monic of the
-  degrees 0 .. D exactly, so they form a staircase of D + 1 unit pivots.
-  A subset of full F_p rank D + 1 forces the whole set of products to
-  full rank, so the check is the rank of that subset.
-* Base change to k.  The glued subring of k[t] on the slice has
-  codimension 1 (values at 0 and 1 agree) for two-points and n - 1 for
-  wild-point: P reduces to t^n, and k + (t^n) is cut out by the
-  coefficients of t^1 .. t^(n-1).  The basis reduces into it (1 to 1,
-  pi*t to 0, t^i - t to a polynomial with equal values 0 at 0 and 1,
-  P*t^j to t^(n+j)), so the image of A' tensor k satisfies those
-  conditions and the comparison map is well defined.  Its kernel is
-  len(basis) - rank and its cokernel (D + 1 - codimension) - rank.
-* Base change to K(d).  ``TameContext.embed`` is a ring map fixing 1,
-  t and the unit leading coefficients.  It sends 1 and t^i - t to
-  themselves, P*t^j to P'*t^j with P' the embedded P (a generator of the
-  extended gluing, which embeds P too), and pi*t to pi_d^d * t =
-  pi_d^(d-1) * (pi_d * t).  In the two staircases the comparison matrix
-  is therefore diagonal with entries pi_d^((d-1)*v), v the pivot
-  valuations.  The image of every generator is a multiple of one
-  extended generator, so it never leaves the extended subring, both
-  staircases have the same length, and the defect (the sum of the Smith
-  exponents) is the sum of (d - 1) * v.  An embedded pivot pi^v becomes
-  pi_d^(v*d), which is 0 at precision N once v*d >= N; the entry is then
-  undetermined and the check raises ``PrecisionExhausted``.
+* Tor defect: 1 for two-points, 0 for wild-point.  A' tensor k ->
+  A tensor k sends the basis to its reductions, so its kernel is
+  spanned by the class of pi*t, on every slice bound 2 <= D' <= D.
+* Generators: always, for wild-point.  The products 1 * t^i (i < n) and
+  P*t^j (j <= D - n) lie in A' * t^i and are monic of the degrees 0 .. D
+  exactly, so they span the slice of A.
+* Base change to k: (False, 1) for two-points, (True, 0) for wild-point.
+  The glued subring of k[t] on the slice has codimension 1 for
+  two-points (values at 0 and 1 agree) and n - 1 for wild-point (P
+  reduces to t^n, and k + (t^n) is cut out by the coefficients of
+  t^1 .. t^(n-1)).  The basis reduces into it, so the comparison map is
+  defined.  Its kernel is the Tor defect, and its image, spanned by the
+  reductions of the monic elements, has dimension D = (D + 1) - 1 for
+  two-points and D - n + 2 = (D + 1) - (n - 1) for wild-point: the
+  cokernel is 0.
+* Base change to K(d): (True, 0) for wild-point, (d == 1, d - 1) for
+  two-points.  ``TameContext.embed`` is a ring map fixing 1 and t, and
+  the extended wild-point gluing is cut out by the embedded P, so the
+  comparison map sends basis to basis.  For two-points it fixes 1 and
+  t^i - t and sends pi*t to pi_d^d * t = pi_d^(d-1) * (pi_d * t): the
+  comparison matrix is diagonal with one entry pi_d^(d-1) and the rest
+  1.  At precision N the image pi_d^d of the pivot pi is 0 once
+  d >= N; the entry is then undetermined and the check raises
+  ``PrecisionExhausted``.
 """
 
 from __future__ import annotations
@@ -83,7 +72,6 @@ __all__ = [
     "GluingSpec",
     "TwoPointsGluing",
     "WildPointGluing",
-    "FiberElement",
     "WitnessReport",
     "fiber_membership",
     "nilpotent_witness",
@@ -182,6 +170,15 @@ def _as_poly(f, algebra: PolyAlgebra):
     return algebra.polynomial(list(f))
 
 
+def _two_points(spec: GluingSpec) -> bool:
+    """Whether spec is a two-points gluing, against a wild-point one."""
+    if isinstance(spec, TwoPointsGluing):
+        return True
+    if isinstance(spec, WildPointGluing):
+        return False
+    raise SpecInvariantViolation(f"unknown gluing {spec!r}")
+
+
 def fiber_membership(f, spec: GluingSpec) -> bool:
     """Whether f lies in the glued subring A'.
 
@@ -189,32 +186,15 @@ def fiber_membership(f, spec: GluingSpec) -> bool:
     remainder of f mod P is a constant.
     """
     f = _as_poly(f, spec.algebra)
-    cfg = spec.algebra.config
-    if isinstance(spec, TwoPointsGluing):
-        total = TruncSeries.zero(cfg)
+    if _two_points(spec):
+        total = TruncSeries.zero(spec.algebra.config)
         for c in f[1:]:
             total = total + c
-        return total.valuation >= 1
-    if isinstance(spec, WildPointGluing):
-        n = spec.eisenstein.degree
-        if len(f) <= 1:
-            return True
-        remainder = _poly_mod(list(f), spec.eisenstein)
-        return all(c.is_zero() for c in remainder[1:n])
-    raise SpecInvariantViolation(f"unknown gluing {spec!r}")
-
-
-class FiberElement:
-    """A polynomial together with a witness that it lies in A'."""
-
-    __slots__ = ("coeffs", "spec")
-
-    def __init__(self, coeffs, spec: GluingSpec):
-        coeffs = _as_poly(coeffs, spec.algebra)
-        if not fiber_membership(coeffs, spec):
-            raise SpecInvariantViolation("polynomial is outside the glued subring")
-        self.coeffs = coeffs
-        self.spec = spec
+        return not total.is_unit()
+    if len(f) <= 1:
+        return True
+    remainder = _poly_mod(list(f), spec.eisenstein)
+    return all(c.is_zero() for c in remainder[1:spec.eisenstein.degree])
 
 
 class WitnessReport(NamedTuple):
@@ -225,7 +205,7 @@ class WitnessReport(NamedTuple):
 
 def _divide_by_pi(f, algebra: PolyAlgebra):
     """f / pi as a polynomial, or None when a coefficient is a unit."""
-    if any(c.valuation < 1 for c in f):
+    if any(c.is_unit() for c in f):
         return None
     return algebra.polynomial([c.shift_down(1) for c in f])
 
@@ -263,94 +243,31 @@ def nilpotent_witness(spec: TwoPointsGluing, f=None) -> WitnessReport:
     return WitnessReport(True, True, _in_pi_fiber(square, spec))
 
 
-# ---------------------------------------------------------------------------
-# module bases of the glued subring on the slice
-# ---------------------------------------------------------------------------
-
-def _monic(spec: GluingSpec):
-    """The monic P of a wild-point gluing as a polynomial; None for
-    two-points."""
-    if isinstance(spec, TwoPointsGluing):
-        return None
-    if isinstance(spec, WildPointGluing):
-        one = TruncSeries.one(spec.algebra.config)
-        return spec.algebra.polynomial(spec.eisenstein.coeffs + (one,))
-    raise SpecInvariantViolation(f"unknown gluing {spec!r}")
-
-
-def _subring_generators(algebra: PolyAlgebra, monic, bound: int):
-    """Polynomials generating the degree-<=bound slice of A' over O_K, by
-    increasing degree: A' = O_K + (monic), or the two-points subring when
-    monic is None."""
-    cfg = algebra.config
-    one = TruncSeries.one(cfg)
-    gens = [algebra.constant(one)]
-    if monic is None:
-        gens.append(algebra.monomial(1, TruncSeries.uniformizer(cfg)))
-        for i in range(2, bound + 1):
-            gens.append(
-                algebra.add(algebra.monomial(i), algebra.monomial(1, -one))
-            )
-        return gens
-    n = len(monic) - 1
-    zero = TruncSeries.zero(cfg)
-    for j in range(0, bound - n + 1):
-        gens.append(algebra.polynomial([zero] * j + list(monic)))  # monic * t^j
-    return gens
-
-
-def _slice_basis(algebra: PolyAlgebra, monic, bound: int):
-    """The generators as a staircase basis: (column, pivot row) pairs,
-    highest degree first.  A column is a coefficient tuple, zero above
-    its pivot row, which is its degree (see the module docstring)."""
-    return [(g, len(g) - 1) for g in reversed(_subring_generators(algebra, monic, bound))]
-
-
 def _fp_rank(basis) -> int:
     """Rank over F_p of a staircase basis reduced mod pi.
 
     It is the number of unit pivots when every column with a non-unit
-    pivot reduces to 0, as in ``column_echelon`` output and the
-    generator staircases here: the unit-pivot columns stay independent
-    mod pi because each later column vanishes on the earlier pivot rows.
+    pivot reduces to 0, as in ``column_echelon`` output: the unit-pivot
+    columns stay independent mod pi because each later column vanishes
+    on the earlier pivot rows.
     """
     return sum(col[r].is_unit() for col, r in basis)
 
 
-def _effective_bound(spec: GluingSpec, degree_bound) -> int:
-    algebra = spec.algebra
-    if degree_bound is None:
-        return algebra.degree_bound
-    if degree_bound < 2 or degree_bound > algebra.degree_bound:
-        raise DegreeBound(
-            f"slice bound {degree_bound} outside [2, {algebra.degree_bound}]"
-        )
-    return degree_bound
-
-
 def tor_defect(spec: GluingSpec, degree_bound=None) -> int:
     """Dimension over F_p of the kernel of A' tensor k -> A tensor k on
-    the degree-<=D slice."""
-    bound = _effective_bound(spec, degree_bound)
-    basis = _slice_basis(spec.algebra, _monic(spec), bound)
-    return len(basis) - _fp_rank(basis)
+    the degree-<=D slice, or on the slice bound given."""
+    top = spec.algebra.degree_bound
+    if degree_bound is not None and not 2 <= degree_bound <= top:
+        raise DegreeBound(f"slice bound {degree_bound} outside [2, {top}]")
+    return 1 if _two_points(spec) else 0
 
 
 def generator_check(spec: WildPointGluing) -> bool:
-    """Whether 1, t, ..., t^(n-1) generate the slice of A over A'.
-
-    Takes the products t^i (i < n) and P * t^j (j <= D - n), a staircase
-    of degrees 0 .. D inside the products (basis element of A') * t^i,
-    and checks that it has D + 1 unit pivots.
-    """
+    """Whether 1, t, ..., t^(n-1) generate the slice of A over A'."""
     if not isinstance(spec, WildPointGluing):
         raise SpecInvariantViolation("generator check applies to wild-point gluings")
-    algebra = spec.algebra
-    bound = algebra.degree_bound
-    # P * t^(D-n), ..., P from the basis, whose last column, 1, is t^0
-    staircase = _slice_basis(algebra, _monic(spec), bound)[:-1]
-    staircase += [(algebra.monomial(i), i) for i in reversed(range(spec.eisenstein.degree))]
-    return _fp_rank(staircase) == bound + 1
+    return True
 
 
 def base_change_commutes(spec: GluingSpec, target):
@@ -361,31 +278,18 @@ def base_change_commutes(spec: GluingSpec, target):
     the defect counts kernel plus cokernel dimensions of the canonical
     comparison map on the degree-<=D slice.
     """
-    algebra = spec.algebra
-    bound = algebra.degree_bound
-    cfg = algebra.config
-    basis = _slice_basis(algebra, _monic(spec), bound)
+    two_points = _two_points(spec)
     if target == "k":
-        rank = _fp_rank(basis)
-        if isinstance(spec, TwoPointsGluing):
-            codimension = 1
-        else:
-            codimension = spec.eisenstein.degree - 1
-        kernel = len(basis) - rank
-        cokernel = (bound + 1 - codimension) - rank
-        defect = kernel + cokernel
-        return defect == 0, defect
+        return (False, 1) if two_points else (True, 0)
     if isinstance(target, TameContext):
-        if target.base != cfg:
+        if target.base != spec.algebra.config:
             raise ConfigMismatch("tame context is over a different base")
-        N = target.extension_config.precision
-        defect = 0
-        for col, r in basis:
-            v = col[r].valuation
-            if v * target.d >= N:
-                raise PrecisionExhausted(
-                    "pivot valuation exceeds precision after extension"
-                )
-            defect += (target.d - 1) * v
-        return defect == 0, defect
+        if not two_points:
+            return True, 0
+        d, N = target.d, target.extension_config.precision
+        if d >= N:
+            raise PrecisionExhausted(
+                f"the pi*t pivot becomes pi_d^{d}, which is 0 at precision {N}"
+            )
+        return d == 1, d - 1
     raise SpecInvariantViolation(f"unknown base-change target {target!r}")

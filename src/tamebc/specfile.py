@@ -503,10 +503,6 @@ def _render_jacobian(spec: JacobianSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_series_factor(series: TruncSeries) -> str:
-    return f"({series!r})"
-
-
 def _render_gluing(spec) -> str:
     config = spec.algebra.config
     lines = [
@@ -517,15 +513,7 @@ def _render_gluing(spec) -> str:
         f"degree_bound = {spec.algebra.degree_bound}",
     ]
     if isinstance(spec, WildPointGluing):
-        n = spec.eisenstein.degree
-        parts = [f"t^{n}" if n > 1 else "t"]
-        for i in range(n - 1, -1, -1):
-            c = spec.eisenstein.coeffs[i]
-            if c.is_zero():
-                continue
-            mono = "" if i == 0 else ("*t" if i == 1 else f"*t^{i}")
-            parts.append(f"{_render_series_factor(c)}{mono}")
-        lines.append(f"eisenstein = {' + '.join(parts)}")
+        lines.append(f"eisenstein = {spec.eisenstein!r}")
     return "\n".join(lines) + "\n"
 
 

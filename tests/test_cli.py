@@ -297,6 +297,57 @@ class TestExplicitArguments:
         assert err.startswith("DegreeBound")
 
 
+class TestContradictingFlags:
+    """Two flags that each select the input are rejected together, naming
+    both, instead of one of them being ignored."""
+
+    SPECS = {
+        "torus": "kind = torus\ntorus = res:4\n",
+        "gluing": "kind = gluing\ngluing = two-points\np = 2\nprecision = 8\n"
+                  "degree_bound = 4\n",
+        "jacobian": JACOBIAN_TEXT,
+    }
+
+    @pytest.fixture
+    def spec_paths(self, tmp_path):
+        paths = {kind: tmp_path / f"{kind}.spec" for kind in self.SPECS}
+        for kind, path in paths.items():
+            path.write_text(self.SPECS[kind])
+        return paths
+
+    @pytest.mark.parametrize("argv, flags", [
+        ("d-jumps --n 3 --torus res:4 --d 7", ("--n", "--torus")),
+        ("d-jumps --n 3 --spec {torus} --d 7", ("--n", "--spec")),
+        ("characters --n 3 --torus res:4 --d 7", ("--n", "--torus")),
+        ("characters --n 3 --spec {torus} --d 7", ("--n", "--spec")),
+        ("d-jumps --torus res:3 --spec {torus} --d 7", ("--spec", "--torus")),
+        ("jumps --torus res:3 --spec {torus}", ("--spec", "--torus")),
+        ("order --torus res:3 --spec {torus} --d 7", ("--spec", "--torus")),
+        ("conductor --torus res:3 --spec {torus}", ("--spec", "--torus")),
+        ("pole --spec {jacobian} --n 2", ("--spec", "--n")),
+        ("pole --spec {jacobian} --p 2", ("--spec", "--p")),
+        ("pushout --check tor-defect --spec {gluing} --gluing wild-point",
+         ("--spec", "--gluing")),
+        ("pushout --check tor-defect --spec {gluing} --eisenstein t^2-pi",
+         ("--spec", "--eisenstein")),
+        ("pushout --check tor-defect --gluing two-points --eisenstein t^2-pi",
+         ("--gluing two-points", "--eisenstein")),
+    ])
+    def test_rejected(self, capsys, spec_paths, argv, flags):
+        code, out, err = invoke(capsys, *argv.format(**spec_paths).split())
+        assert (code, out) == (1, "")
+        assert err.startswith("SpecFileError")
+        assert all(flag in err for flag in flags), err
+
+    # the other subcommands run on --spec alone in the tests above
+    @pytest.mark.parametrize("argv, expected", [
+        ("characters --spec {torus} --d 7", "0, 1, 3, 5 (mod 7)\n"),
+        ("pushout --check tor-defect --spec {gluing}", "tor_defect: 1\n"),
+    ])
+    def test_spec_alone_still_runs(self, capsys, spec_paths, argv, expected):
+        assert invoke(capsys, *argv.format(**spec_paths).split())[:2] == (0, expected)
+
+
 class TestIntegerOptions:
     """Integer options and environment values are ASCII ``-?[0-9]+``, as
     in spec files; argparse's ``int`` would also take other Unicode

@@ -2,11 +2,11 @@
 push-out checks that need none.
 
 ``smith_normal_form`` is read off the pivots of ``column_echelon``, and
-the push-out checks off the staircase of their generators.  The
-references below are independent computations: a row-and-column Smith
-loop over the truncated ring, a Gaussian elimination over F_p, and the
-push-out checks computed by ``column_echelon``, ``coordinates_in_echelon``
-and a Smith form.  Both sides must give the same exponents, ranks and
+the push-out checks are closed forms by gluing kind.  The references
+below are independent computations: a row-and-column Smith loop over
+the truncated ring, a Gaussian elimination over F_p, and the push-out
+checks computed by ``column_echelon``, ``coordinates_in_echelon`` and a
+Smith form.  Both sides must give the same exponents, ranks and
 defects, or raise the same error class.
 """
 
@@ -378,10 +378,14 @@ def pushout_mutant(old, new):
 
 
 MUTANTS = {
-    "d-for-d-minus-1": ("defect += (target.d - 1) * v", "defect += target.d * v"),
-    "no-pi-t-pivot": ("gens.append(algebra.monomial(1, TruncSeries.uniformizer(cfg)))", "pass"),
-    "n-conditions": ("codimension = spec.eisenstein.degree - 1",
-                     "codimension = spec.eisenstein.degree"),
+    "d-for-d-minus-1": ("return d == 1, d - 1", "return d == 1, d"),
+    "no-pi-t-pivot": ("return 1 if _two_points(spec) else 0",
+                      "return 0 if _two_points(spec) else 0"),
+    "k-answers-swapped": ("return (False, 1) if two_points else (True, 0)",
+                          "return (True, 0) if two_points else (False, 1)"),
+    "generators-false": ('wild-point gluings")\n    return True',
+                         'wild-point gluings")\n    return False'),
+    "guard-d-above-N": ("if d >= N:", "if d > N:"),
 }
 
 

@@ -7,7 +7,6 @@ from tamebc import (
     DegreeBound,
     DVRConfig,
     EisensteinPoly,
-    FiberElement,
     PolyAlgebra,
     SpecInvariantViolation,
     TameContext,
@@ -84,11 +83,6 @@ class TestMembership:
             assert fiber_membership(ALG.add(f, g), TWO)
             if (len(f) - 1) + (len(g) - 1) <= ALG.degree_bound:
                 assert fiber_membership(ALG.mul(f, g), TWO)
-
-    def test_fiber_element_validates(self):
-        FiberElement([-pi(), pi()], TWO)
-        with pytest.raises(SpecInvariantViolation):
-            FiberElement([zero(), one()], TWO)
 
 
 class TestNilpotentWitness:
