@@ -1,12 +1,14 @@
 """Brute-force verification of the integer jumps from first principles.
 
 For a totally ramified extension of degree n defined by an Eisenstein
-polynomial P, the integer jumps at a tame level d = 1 mod n are the
-elementary-divisor valuations of an explicit relation matrix over the
-extension ring with uniformizer pi_d (pi = pi_d^d).  The oracle builds
-the matrix, runs Smith reduction over the truncated valuation ring, and
-must agree with the closed form floor(d*v/n) for v = 0..n-1, whatever
-Eisenstein polynomial or unimodular change of generators is used.
+polynomial P, the integer jumps at a tame level d prime to n are read
+off the elementary divisors of an explicit relation matrix over the
+extension ring with uniformizer pi_d (pi = pi_d^d): its columns are the
+powers of the uniformizer t^a * pi_d^(-b) (a = 1/d mod n, b = (a*d-1)/n)
+reduced mod P.  The oracle builds the matrix, runs Smith reduction over
+the truncated valuation ring, and must agree with the closed form
+floor(d*v/n) for v = 0..n-1, whatever Eisenstein polynomial or
+unimodular change of generators is used.
 """
 
 from tamebc import (
@@ -16,7 +18,6 @@ from tamebc import (
     TruncSeries,
     cokernel_d_jumps_oracle,
     d_jumps_closed_form,
-    eisenstein_rescale,
 )
 
 config = DVRConfig(p=2, precision=128)
@@ -36,9 +37,12 @@ oracle = cokernel_d_jumps_oracle(poly, TameContext(7, config))
 print(f"  n=3, d=7: {{{oracle}}}")
 
 print()
-print("the rescaled defining polynomial over the extension:")
-rescaled = eisenstein_rescale(EisensteinPoly.pure(2, config), TameContext(5, config))
-print(f"  t^2 - pi at d=5 becomes t^2 + ({rescaled.coeffs[0]!r})")
+print("levels d not 1 mod n, where the powers of t reduce mod P:")
+for n, d in [(3, 5), (4, 7), (5, 7)]:
+    poly = EisensteinPoly([-pi] + [pi] * (n - 1), config)
+    oracle = cokernel_d_jumps_oracle(poly, TameContext(d, config))
+    closed = d_jumps_closed_form(n, d)
+    print(f"  n={n}, d={d}: oracle {{{oracle}}} closed form {{{closed}}}")
 
 print()
 print("changing the generators by a unimodular matrix leaves the")

@@ -53,7 +53,6 @@ from .dvr import (
     TameContext,
     TruncSeries,
     cokernel_d_jumps_oracle,
-    eisenstein_rescale,
     smith_normal_form,
 )
 from .motivic import (

@@ -86,7 +86,7 @@ def _exclusive(args, flag, others):
     """Reject ``flag`` given together with any of ``others``."""
     for other in others:
         if getattr(args, other) is not None:
-            raise SpecFileError(f"--{flag} contradicts --{other}")
+            raise SpecFileError(f"--{flag} contradicts --{other.replace('_', '-')}")
 
 
 def _torus_arg(args) -> "Torus":
@@ -126,11 +126,11 @@ def _target_arg(text: str):
 
 def _gluing_arg(args) -> "GluingSpec":
     if args.spec:
-        _exclusive(args, "spec", ["gluing", "eisenstein"])
+        _exclusive(args, "spec", ["gluing", "eisenstein", "p", "precision", "degree_bound"])
         return _load(args.spec, (TwoPointsGluing, WildPointGluing), "gluing")
     if args.gluing is None:
         raise SpecFileError("need --gluing two-points|wild-point or --spec FILE")
-    config = DVRConfig(args.p, _precision_arg(args))
+    config = DVRConfig(2 if args.p is None else args.p, _precision_arg(args))
     bound = args.degree_bound
     if bound is None:
         bound = _env_int("TAMEBC_DEGREE_BOUND", DEFAULT_DEGREE_BOUND)
@@ -232,6 +232,10 @@ def _cmd_isogeny(args, out):
 def _cmd_pushout(args, out):
     spec = _gluing_arg(args)
     algebra = spec.algebra
+    if args.check not in ("membership", "nilpotent"):
+        _exclusive(args, f"check {args.check}", ["poly"])
+    if args.check != "base-change":
+        _exclusive(args, f"check {args.check}", ["target"])
     if args.check == "membership":
         if args.poly is None:
             raise SpecFileError("membership check needs --poly EXPR")
@@ -259,7 +263,7 @@ def _cmd_pushout(args, out):
     elif args.check == "generators":
         print(f"generates: {_bool_text(generator_check(spec))}", file=out)
     elif args.check == "base-change":
-        target = args.target
+        target = "k" if args.target is None else args.target
         if target != "k":
             target = TameContext(target, algebra.config)
         equal, defect = base_change_commutes(spec, target)
@@ -350,12 +354,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gluing", choices=["two-points", "wild-point"])
     p.add_argument("--spec", help="spec file of kind gluing")
     p.add_argument("--eisenstein", help="defining polynomial for wild-point")
-    p.add_argument("--p", type=_int_arg, default=2)
+    p.add_argument("--p", type=_int_arg, help="residue characteristic (default 2)")
     p.add_argument("--precision", type=_int_arg)
     p.add_argument("--degree-bound", dest="degree_bound", type=_int_arg)
     p.add_argument("--poly", help="polynomial in pi and t")
-    p.add_argument("--target", type=_target_arg, default="k",
-                   help="base-change target: k or a tame degree")
+    p.add_argument("--target", type=_target_arg,
+                   help="base-change target: k (default) or a tame degree")
 
     p = add("components", _cmd_components, help="component-group count at a divisor")
     p.add_argument("--spec", required=True, help="spec file of kind jacobian")

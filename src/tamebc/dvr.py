@@ -13,11 +13,10 @@ valuations and lengths.  ``TameContext.embed`` realizes the inclusion by
 spreading coefficients to the positions d*i.
 
 On top of the series arithmetic this module provides Eisenstein
-polynomials, their rescaling into a tame extension, Smith normal form
-over the truncated ring, and the brute-force cokernel computation whose
-elementary-divisor exponents are the integer base-change jumps at level
-d for the induced torus of a degree-n totally ramified extension (only
-available for d = 1 mod n, where an explicit integral model exists).
+polynomials, Smith normal form over the truncated ring, and the
+brute-force cokernel computation whose elementary-divisor exponents
+give the integer base-change jumps, at every level d prime to n, of the
+induced torus of a degree-n totally ramified extension.
 
 Linear algebra over the truncated ring has one elimination,
 ``column_echelon``.  Each of its pivots has the least valuation of the
@@ -69,7 +68,6 @@ __all__ = [
     "TameContext",
     "EisensteinPoly",
     "ElemDivisors",
-    "eisenstein_rescale",
     "smith_normal_form",
     "cokernel_d_jumps_oracle",
 ]
@@ -450,32 +448,6 @@ class ElemDivisors:
         return len(self.exponents)
 
 
-def eisenstein_rescale(P: EisensteinPoly, ctx: TameContext) -> EisensteinPoly:
-    """Renormalize an Eisenstein polynomial into the tame extension.
-
-    For d = 1 mod n, substituting pi_d^((d-1)/n) * t into P and dividing
-    by pi_d^(d-1) yields a new monic Eisenstein polynomial Q over the
-    extension; this function computes Q.
-    """
-    n = P.degree
-    d = ctx.d
-    if P.config != ctx.base:
-        raise ConfigMismatch("polynomial does not live over the context base")
-    if (d - 1) % n != 0:
-        raise CongruenceViolation(f"need d = 1 mod {n}, got d = {d}")
-    if d >= ctx.base.precision:
-        raise PrecisionExhausted(
-            f"tame degree {d} reaches the truncation order {ctx.base.precision}"
-        )
-    m = (d - 1) // n
-    out = []
-    for i, a in enumerate(P.coeffs):
-        lifted = ctx.embed(a)
-        # multiply by pi_d^(i*m), divide by pi_d^(d-1); net shift is down
-        out.append(lifted.shift_down((d - 1) - i * m))
-    return EisensteinPoly(out, ctx.extension_config)
-
-
 # ---------------------------------------------------------------------------
 # linear algebra over the truncated ring
 # ---------------------------------------------------------------------------
@@ -582,21 +554,22 @@ def coordinates_in_echelon(basis, column):
 # the cokernel oracle
 # ---------------------------------------------------------------------------
 
-def _poly_mod(coeffs, Q: EisensteinPoly):
-    """Remainder of a polynomial (list of TruncSeries, low to high) mod Q."""
-    n = Q.degree
+def _poly_mod(coeffs, modulus):
+    """Remainder of a polynomial (list of TruncSeries, low to high) mod the
+    monic polynomial t^n + modulus[n-1] t^(n-1) + ... + modulus[0]."""
+    n = len(modulus)
     work = list(coeffs)
     while len(work) > n:
         lead = work.pop()
         k = len(work)  # popped term was lead * t^k
         if lead.is_zero():
             continue
-        # t^k = -(a_0 + ... + a_(n-1) t^(n-1)) * t^(k-n) mod Q
-        for i, a in enumerate(Q.coeffs):
+        # t^k = -(a_0 + ... + a_(n-1) t^(n-1)) * t^(k-n) mod the modulus
+        for i, a in enumerate(modulus):
             if not a.is_zero():
                 work[k - n + i] = work[k - n + i] - lead * a
     while len(work) < n:
-        work.append(TruncSeries.zero(Q.config))
+        work.append(TruncSeries.zero(modulus[0].config))
     return work
 
 
@@ -605,33 +578,45 @@ def cokernel_d_jumps_oracle(
 ) -> DJumps:
     """Integer jumps at level d by brute-force cokernel computation.
 
-    Builds the matrix expressing the generators pi_d^(v*(d-1)/n) * t^v of
-    the image of O_L tensor O_K(d) inside O_K(d)[t]/(Q) on the monomial
-    basis, optionally composed with a unimodular change of generators,
-    and returns the valuations of its Smith-form diagonal.
+    For d prime to n, L tensor K(d) is a field, totally ramified of
+    degree n*d over K.  With v(pi_d) = n and v(t) = d, the element
+    t^a * pi_d^(-b) for a = 1/d mod n and b = (a*d - 1)/n has valuation
+    1, so its powers w = 0 .. n-1 span the maximal order over O_K(d).
+    Column w of the matrix holds the t-basis coordinates of
+    pi_d^(b*(n-1-w)) * t^(a*w) mod P, with P's coefficients embedded in
+    K(d); ``basis_change`` optionally combines the columns by a
+    unimodular integer matrix.  The d-jumps are b*(n-1) minus the
+    valuations of its Smith-form diagonal.
     """
-    Q = eisenstein_rescale(P, ctx)
-    n = P.degree
-    d = ctx.d
-    m = (d - 1) // n
+    n, d = P.degree, ctx.d
+    modulus = [ctx.embed(c) for c in P.coeffs]
+    if gcd(d, n) != 1:
+        raise CongruenceViolation(f"need gcd(d, {n}) = 1, got d = {d}")
+    if d >= ctx.base.precision:
+        raise PrecisionExhausted(
+            f"tame degree {d} reaches the truncation order {ctx.base.precision}"
+        )
+    a = pow(d, -1, n)
+    b = (a * d - 1) // n
     ext = ctx.extension_config
-    if basis_change is None:
-        change = _intmat.mat_identity(n)
-    else:
+    columns = []
+    for w in range(n):
+        power = [TruncSeries.zero(ext)] * (a * w) + [TruncSeries.one(ext)]
+        columns.append([c.shift_up(b * (n - 1 - w)) for c in _poly_mod(power, modulus)])
+    if basis_change is not None:
         change = [list(row) for row in basis_change]
         if len(change) != n or any(len(row) != n for row in change):
             raise SpecInvariantViolation("basis change must be n x n")
         if not _intmat.is_unimodular(change):
             raise SpecInvariantViolation("basis change matrix is not unimodular")
-    columns = []
-    for j in range(n):
-        # generator sum_v change[v][j] * pi_d^(v*m) * t^v, reduced mod Q
-        poly = [TruncSeries.zero(ext) for _ in range(n)]
-        for v in range(n):
-            c = change[v][j]
-            if c:
-                poly[v] = TruncSeries.from_int(c, ext) * ctx.uniformizer(v * m)
-        columns.append(_poly_mod(poly, Q))
-    matrix = [[columns[j][i] for j in range(n)] for i in range(n)]
-    divisors = smith_normal_form(matrix)
-    return DJumps(divisors.exponents, d)
+        combined = []
+        for j in range(n):
+            col = [TruncSeries.zero(ext)] * n
+            for w, row in enumerate(change):
+                if row[j]:
+                    scale = TruncSeries.from_int(row[j], ext)
+                    col = [x + scale * y for x, y in zip(col, columns[w])]
+            combined.append(col)
+        columns = combined
+    divisors = smith_normal_form([list(row) for row in zip(*columns)])
+    return DJumps([b * (n - 1) - e for e in divisors.exponents], d)

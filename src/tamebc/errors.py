@@ -19,7 +19,7 @@ class NonUnitDivisor(DomainError):
 
 
 class CongruenceViolation(DomainError):
-    """Tame degree d fails the congruence d = 1 mod n."""
+    """Tame level d shares a factor with the extension degree n."""
 
 
 class PrecisionExhausted(DomainError):

@@ -193,7 +193,7 @@ def fiber_membership(f, spec: GluingSpec) -> bool:
         return not total.is_unit()
     if len(f) <= 1:
         return True
-    remainder = _poly_mod(list(f), spec.eisenstein)
+    remainder = _poly_mod(list(f), spec.eisenstein.coeffs)
     return all(c.is_zero() for c in remainder[1:spec.eisenstein.degree])
 
 

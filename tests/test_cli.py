@@ -332,6 +332,23 @@ class TestContradictingFlags:
          ("--spec", "--eisenstein")),
         ("pushout --check tor-defect --gluing two-points --eisenstein t^2-pi",
          ("--gluing two-points", "--eisenstein")),
+        ("pushout --check base-change --spec {gluing} --target 11 --precision 64",
+         ("--spec", "--precision")),
+        ("pushout --check tor-defect --spec {gluing} --p 5", ("--spec", "--p")),
+        ("pushout --check tor-defect --spec {gluing} --degree-bound 6",
+         ("--spec", "--degree-bound")),
+        ("pushout --check tor-defect --gluing two-points --target 3",
+         ("--check tor-defect", "--target")),
+        ("pushout --check tor-defect --gluing two-points --poly t",
+         ("--check tor-defect", "--poly")),
+        ("pushout --check generators --gluing wild-point --eisenstein t^2-pi --poly t",
+         ("--check generators", "--poly")),
+        ("pushout --check base-change --gluing two-points --target 3 --poly t",
+         ("--check base-change", "--poly")),
+        ("pushout --check membership --gluing two-points --poly t --target 3",
+         ("--check membership", "--target")),
+        ("pushout --check nilpotent --gluing two-points --target k",
+         ("--check nilpotent", "--target")),
     ])
     def test_rejected(self, capsys, spec_paths, argv, flags):
         code, out, err = invoke(capsys, *argv.format(**spec_paths).split())
@@ -343,6 +360,8 @@ class TestContradictingFlags:
     @pytest.mark.parametrize("argv, expected", [
         ("characters --spec {torus} --d 7", "0, 1, 3, 5 (mod 7)\n"),
         ("pushout --check tor-defect --spec {gluing}", "tor_defect: 1\n"),
+        ("pushout --check base-change --spec {gluing} --target 5",
+         "commutes: false, defect: 4\n"),
     ])
     def test_spec_alone_still_runs(self, capsys, spec_paths, argv, expected):
         assert invoke(capsys, *argv.format(**spec_paths).split())[:2] == (0, expected)

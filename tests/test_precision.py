@@ -7,6 +7,7 @@ oracle and the four push-out checks.
 """
 
 import random
+from math import gcd
 
 import pytest
 
@@ -46,9 +47,8 @@ def eisenstein_digits(rng, p, n, length):
     return [a0] + rest
 
 
-def tame_level(rng, p, top, congruent_to_one_mod=1):
-    levels = [d for d in range(1, top + 1)
-              if d % p and (d - 1) % congruent_to_one_mod == 0]
+def tame_level(rng, p, top, coprime_to=1):
+    levels = [d for d in range(1, top + 1) if d % p and gcd(d, coprime_to) == 1]
     return rng.choice(levels)
 
 
