@@ -7,8 +7,9 @@ extension ring with uniformizer pi_d (pi = pi_d^d): its columns are the
 powers of the uniformizer t^a * pi_d^(-b) (a = 1/d mod n, b = (a*d-1)/n)
 reduced mod P.  The oracle builds the matrix, runs Smith reduction over
 the truncated valuation ring, and must agree with the closed form
-floor(d*v/n) for v = 0..n-1, whatever Eisenstein polynomial or
-unimodular change of generators is used.
+floor(d*v/n) for v = 0..n-1, whatever Eisenstein polynomial is used.
+The truncation order must exceed d and the largest Smith exponent
+b*(n-1); ``oracle_precision`` gives one that does.
 """
 
 from tamebc import (
@@ -19,6 +20,7 @@ from tamebc import (
     cokernel_d_jumps_oracle,
     d_jumps_closed_form,
 )
+from tamebc.dvr import oracle_precision
 
 config = DVRConfig(p=2, precision=128)
 
@@ -45,9 +47,10 @@ for n, d in [(3, 5), (4, 7), (5, 7)]:
     print(f"  n={n}, d={d}: oracle {{{oracle}}} closed form {{{closed}}}")
 
 print()
-print("changing the generators by a unimodular matrix leaves the")
-print("elementary divisors alone:")
-for change in ([[1, 3], [0, 1]], [[2, 1], [1, 1]], [[0, 1], [1, 0]]):
-    poly = EisensteinPoly.pure(2, config)
-    out = cokernel_d_jumps_oracle(poly, TameContext(9, config), basis_change=change)
-    print(f"  change {change}: {{{out}}}")
+print("levels whose Smith exponents pass the default order 64 answer")
+print("at the truncation order N = max(64, d + 1, b*(n-1) + 1):")
+for n, d, p in [(7, 24, 5), (2, 65, 3)]:
+    wide = DVRConfig(p, oracle_precision(n, d))
+    oracle = cokernel_d_jumps_oracle(EisensteinPoly.pure(n, wide), TameContext(d, wide))
+    closed = d_jumps_closed_form(n, d)
+    print(f"  n={n}, d={d}, N={wide.precision}: oracle {{{oracle}}} closed form {{{closed}}}")

@@ -1,15 +1,14 @@
-"""Small exact integer-matrix utilities (no external dependencies).
+"""Exact integer-matrix algebra for ``lattice`` (no external dependencies).
 
-Matrices are lists of lists of Python ints; everything stays exact.
+A matrix is a sequence of rows (lists or tuples) of Python ints.  These
+functions only read their arguments: ``det`` and ``smith_diagonal``
+eliminate in a private list copy, ``mat_mul`` and ``mat_identity``
+return new lists, and matrices compare with ``==`` once both are lists.
 """
 
 from __future__ import annotations
 
 from .errors import SpecInvariantViolation
-
-
-def mat_copy(m):
-    return [list(row) for row in m]
 
 
 def mat_identity(n):
@@ -26,10 +25,6 @@ def mat_mul(a, b):
     ]
 
 
-def mat_eq(a, b):
-    return len(a) == len(b) and all(list(x) == list(y) for x, y in zip(a, b))
-
-
 def det(m) -> int:
     """Determinant by fraction-free Bareiss elimination."""
     n = len(m)
@@ -37,7 +32,7 @@ def det(m) -> int:
         raise SpecInvariantViolation("determinant needs a square matrix")
     if n == 0:
         return 1
-    a = mat_copy(m)
+    a = [list(row) for row in m]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -60,83 +55,41 @@ def det(m) -> int:
 def smith_diagonal(m) -> list[int]:
     """Elementary divisors of an integer matrix.
 
-    Returns the nonzero diagonal of the Smith normal form (non-negative,
-    each dividing the next), one entry per unit of rank.
+    Returns the nonzero diagonal of the Smith normal form (positive,
+    each dividing the next), one entry per unit of rank.  One loop moves
+    an entry of least absolute value to the corner and divides its row
+    and column by it.  A nonzero remainder is a smaller pivot for the
+    next pass; a block row with an entry the pivot does not divide is
+    added to the pivot row, leaving such a remainder.  Otherwise the
+    pivot is recorded and the loop goes on with the block.
     """
-    a = mat_copy(m)
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
+    a = [list(row) for row in m]
     divisors = []
-    top = 0
-    while top < rows and top < cols:
-        # locate a nonzero entry of minimal absolute value
-        pivot = None
-        best = None
-        for i in range(top, rows):
-            for j in range(top, cols):
-                v = a[i][j]
-                if v != 0 and (best is None or abs(v) < best):
-                    best = abs(v)
-                    pivot = (i, j)
-        if pivot is None:
+    while a and a[0]:
+        entries = [(abs(v), i, j) for i, row in enumerate(a) for j, v in enumerate(row) if v]
+        if not entries:
             break
-        i, j = pivot
-        a[top], a[i] = a[i], a[top]
+        _, i, j = min(entries)
+        a[0], a[i] = a[i], a[0]
         for row in a:
-            row[top], row[j] = row[j], row[top]
-        # reduce row and column until the pivot divides them
-        while True:
-            changed = False
-            for i in range(top + 1, rows):
-                if a[i][top] % a[top][top] != 0:
-                    q = a[i][top] // a[top][top]
-                    for j in range(top, cols):
-                        a[i][j] -= q * a[top][j]
-                    a[top], a[i] = a[i], a[top]
-                    changed = True
-                    break
-            if changed:
-                continue
-            for j in range(top + 1, cols):
-                if a[top][j] % a[top][top] != 0:
-                    q = a[top][j] // a[top][top]
-                    for i in range(top, rows):
-                        a[i][j] -= q * a[i][top]
-                    for row in a:
-                        row[top], row[j] = row[j], row[top]
-                    changed = True
-                    break
-            if not changed:
-                break
-        p = a[top][top]
-        for i in range(top + 1, rows):
-            q = a[i][top] // p
-            if q:
-                for j in range(top, cols):
-                    a[i][j] -= q * a[top][j]
-        for j in range(top + 1, cols):
-            q = a[top][j] // p
-            if q:
-                for i in range(top, rows):
-                    a[i][j] -= q * a[i][top]
-        # a pivot must also divide the remaining block for true
-        # elementary divisors; if it does not, fold the offending row in
-        offender = None
-        for i in range(top + 1, rows):
-            for j in range(top + 1, cols):
-                if a[i][j] % p != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
+            row[0], row[j] = row[j], row[0]
+        top = a[0]
+        p = top[0]
+        for row in a[1:]:
+            q = row[0] // p
+            for k, v in enumerate(top):
+                row[k] -= q * v
+        for k in range(1, len(top)):
+            q = top[k] // p
+            for row in a:
+                row[k] -= q * row[0]
+        if any(row[0] for row in a[1:]) or any(top[1:]):
+            continue
+        offender = next((row for row in a[1:] if any(v % p for v in row)), None)
         if offender is not None:
-            for j in range(top, cols):
-                a[top][j] += a[offender][j]
+            for k, v in enumerate(offender):
+                top[k] += v
             continue
         divisors.append(abs(p))
-        top += 1
+        a = [row[1:] for row in a[1:]]
     return divisors
-
-
-def is_unimodular(m) -> bool:
-    return abs(det(m)) == 1

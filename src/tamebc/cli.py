@@ -8,7 +8,9 @@ stderr), 2 usage error.
 
 Environment: TAMEBC_PRECISION overrides the default truncation order of
 the valuation-ring arithmetic, TAMEBC_DEGREE_BOUND the default slice
-bound of the push-out checks.
+bound of the push-out checks.  Without either --precision or
+TAMEBC_PRECISION, oracle-cokernel takes ``dvr.oracle_precision``: 64, or
+more at levels whose Smith exponents reach past it.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .dvr import (
     EisensteinPoly,
     TameContext,
     cokernel_d_jumps_oracle,
+    oracle_precision,
 )
 from .errors import DomainError, SpecFileError
 from .jumps import (
@@ -200,7 +203,10 @@ def _cmd_pole(args, out):
 
 
 def _cmd_oracle(args, out):
-    config = DVRConfig(args.p, _precision_arg(args))
+    precision = args.precision
+    if precision is None:
+        precision = _env_int("TAMEBC_PRECISION", oracle_precision(args.n, args.d))
+    config = DVRConfig(args.p, precision)
     if args.eisenstein:
         algebra = PolyAlgebra(config, max(args.n, DEFAULT_DEGREE_BOUND))
         poly = specfile.parse_eisenstein(args.eisenstein, algebra)

@@ -51,7 +51,6 @@ from dataclasses import dataclass, field
 from itertools import islice
 from math import gcd
 
-from . import _intmat
 from .errors import (
     ConfigMismatch,
     CongruenceViolation,
@@ -70,6 +69,7 @@ __all__ = [
     "ElemDivisors",
     "smith_normal_form",
     "cokernel_d_jumps_oracle",
+    "oracle_precision",
 ]
 
 DEFAULT_PRECISION = 64
@@ -573,9 +573,23 @@ def _poly_mod(coeffs, modulus):
     return work
 
 
-def cokernel_d_jumps_oracle(
-    P: EisensteinPoly, ctx: TameContext, basis_change=None
-) -> DJumps:
+def _uniformizer_exponents(n: int, d: int):
+    """(a, b) = (1/d mod n, (a*d - 1)/n) for d prime to n."""
+    a = pow(d, -1, n)
+    b = (a * d - 1) // n
+    return a, b
+
+
+def oracle_precision(n: int, d: int) -> int:
+    """max(DEFAULT_PRECISION, d + 1, b*(n-1) + 1): the oracle answers at
+    level d once pi = pi_d^d and the largest Smith exponent b*(n-1) fit.
+    DEFAULT_PRECISION at levels it rejects (n < 1 or gcd(d, n) > 1)."""
+    if n < 1 or gcd(d, n) != 1:
+        return DEFAULT_PRECISION
+    return max(DEFAULT_PRECISION, d + 1, _uniformizer_exponents(n, d)[1] * (n - 1) + 1)
+
+
+def cokernel_d_jumps_oracle(P: EisensteinPoly, ctx: TameContext) -> DJumps:
     """Integer jumps at level d by brute-force cokernel computation.
 
     For d prime to n, L tensor K(d) is a field, totally ramified of
@@ -584,9 +598,8 @@ def cokernel_d_jumps_oracle(
     1, so its powers w = 0 .. n-1 span the maximal order over O_K(d).
     Column w of the matrix holds the t-basis coordinates of
     pi_d^(b*(n-1-w)) * t^(a*w) mod P, with P's coefficients embedded in
-    K(d); ``basis_change`` optionally combines the columns by a
-    unimodular integer matrix.  The d-jumps are b*(n-1) minus the
-    valuations of its Smith-form diagonal.
+    K(d).  The d-jumps are b*(n-1) minus the valuations of its
+    Smith-form diagonal.
     """
     n, d = P.degree, ctx.d
     modulus = [ctx.embed(c) for c in P.coeffs]
@@ -596,27 +609,11 @@ def cokernel_d_jumps_oracle(
         raise PrecisionExhausted(
             f"tame degree {d} reaches the truncation order {ctx.base.precision}"
         )
-    a = pow(d, -1, n)
-    b = (a * d - 1) // n
+    a, b = _uniformizer_exponents(n, d)
     ext = ctx.extension_config
     columns = []
     for w in range(n):
         power = [TruncSeries.zero(ext)] * (a * w) + [TruncSeries.one(ext)]
         columns.append([c.shift_up(b * (n - 1 - w)) for c in _poly_mod(power, modulus)])
-    if basis_change is not None:
-        change = [list(row) for row in basis_change]
-        if len(change) != n or any(len(row) != n for row in change):
-            raise SpecInvariantViolation("basis change must be n x n")
-        if not _intmat.is_unimodular(change):
-            raise SpecInvariantViolation("basis change matrix is not unimodular")
-        combined = []
-        for j in range(n):
-            col = [TruncSeries.zero(ext)] * n
-            for w, row in enumerate(change):
-                if row[j]:
-                    scale = TruncSeries.from_int(row[j], ext)
-                    col = [x + scale * y for x, y in zip(col, columns[w])]
-            combined.append(col)
-        columns = combined
     divisors = smith_normal_form([list(row) for row in zip(*columns)])
     return DJumps([b * (n - 1) - e for e in divisors.exponents], d)

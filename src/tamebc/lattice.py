@@ -54,96 +54,76 @@ class FiniteAbelianGroup:
         return out
 
 
+@dataclass(frozen=True, slots=True)
 class GLattice:
-    """Free Z-module of finite rank with commuting generator matrices."""
+    """Free Z-module of finite rank with commuting generator matrices,
+    each stored once as a tuple of row tuples."""
 
-    __slots__ = ("group", "rank", "generators")
+    group: FiniteAbelianGroup
+    rank: int
+    generators: tuple
 
-    def __init__(self, group: FiniteAbelianGroup, rank: int, generators):
-        if rank < 1:
+    def __post_init__(self):
+        if self.rank < 1:
             raise SpecInvariantViolation("rank must be >= 1")
-        gens = [_intmat.mat_copy(g) for g in generators]
-        if len(gens) != len(group.factors):
+        gens = tuple(tuple(tuple(row) for row in g) for g in self.generators)
+        if len(gens) != len(self.group.factors):
             raise SpecInvariantViolation(
                 "need one generator matrix per cyclic factor"
             )
         for g in gens:
-            if len(g) != rank or any(len(row) != rank for row in g):
+            if len(g) != self.rank or any(len(row) != self.rank for row in g):
                 raise SpecInvariantViolation("generator matrix has wrong shape")
-        self.group = group
-        self.rank = rank
-        self.generators = tuple(tuple(tuple(row) for row in g) for g in gens)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GLattice)
-            and self.group == other.group
-            and self.rank == other.rank
-            and self.generators == other.generators
-        )
-
-    def __hash__(self):
-        return hash((self.group, self.rank, self.generators))
+        object.__setattr__(self, "generators", gens)
 
 
 def validate(lat: GLattice) -> bool:
-    """True iff the generator matrices commute, have the right orders,
-    and are invertible over the rationals."""
-    gens = [_intmat.mat_copy(g) for g in lat.generators]
-    for g in gens:
-        if _intmat.det(g) == 0:
-            return False
-    for i, g in enumerate(gens):
-        power = _intmat.mat_identity(lat.rank)
-        for _ in range(lat.group.factors[i]):
+    """True iff the generator matrices commute and each has an order
+    dividing its cyclic factor.
+
+    Invertibility needs no separate check: g^m = I gives
+    det(g)^m = 1, so det(g) = +-1 and g is invertible over Z.
+    """
+    gens = lat.generators
+    identity = _intmat.mat_identity(lat.rank)
+    for m, g in zip(lat.group.factors, gens):
+        power = identity
+        for _ in range(m):
             power = _intmat.mat_mul(power, g)
-        if not _intmat.mat_eq(power, _intmat.mat_identity(lat.rank)):
+        if power != identity:
             return False
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
-            if not _intmat.mat_eq(
-                _intmat.mat_mul(gens[i], gens[j]), _intmat.mat_mul(gens[j], gens[i])
-            ):
+            if _intmat.mat_mul(gens[i], gens[j]) != _intmat.mat_mul(gens[j], gens[i]):
                 return False
     return True
 
 
+@dataclass(frozen=True, slots=True)
 class LatticeMap:
-    """Integer matrix from a source lattice to a target lattice."""
+    """Integer matrix from a source lattice to a target lattice, stored
+    once as a tuple of row tuples."""
 
-    __slots__ = ("source", "target", "matrix")
+    source: GLattice
+    target: GLattice
+    matrix: tuple
 
-    def __init__(self, source: GLattice, target: GLattice, matrix):
-        m = _intmat.mat_copy(matrix)
-        if len(m) != target.rank or any(len(row) != source.rank for row in m):
+    def __post_init__(self):
+        m = tuple(tuple(row) for row in self.matrix)
+        if len(m) != self.target.rank or any(len(row) != self.source.rank for row in m):
             raise SpecInvariantViolation(
                 "map matrix must be target_rank x source_rank"
             )
-        if source.group != target.group:
+        if self.source.group != self.target.group:
             raise SpecInvariantViolation("source and target have different groups")
-        self.source = source
-        self.target = target
-        self.matrix = tuple(tuple(row) for row in m)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LatticeMap)
-            and self.source == other.source
-            and self.target == other.target
-            and self.matrix == other.matrix
-        )
-
-    def __hash__(self):
-        return hash((self.source, self.target, self.matrix))
+        object.__setattr__(self, "matrix", m)
 
     def is_equivariant(self) -> bool:
-        m = _intmat.mat_copy(self.matrix)
-        for gs, gt in zip(self.source.generators, self.target.generators):
-            left = _intmat.mat_mul(m, _intmat.mat_copy(gs))
-            right = _intmat.mat_mul(_intmat.mat_copy(gt), m)
-            if not _intmat.mat_eq(left, right):
-                return False
-        return True
+        m = self.matrix
+        return all(
+            _intmat.mat_mul(m, gs) == _intmat.mat_mul(gt, m)
+            for gs, gt in zip(self.source.generators, self.target.generators)
+        )
 
 
 def is_isogeny(f: LatticeMap):
@@ -157,11 +137,10 @@ def is_isogeny(f: LatticeMap):
         raise SpecInvariantViolation("isogeny test needs equal ranks")
     if not f.is_equivariant():
         raise NotEquivariant("map does not commute with the group action")
-    m = _intmat.mat_copy(f.matrix)
-    d = _intmat.det(m)
+    d = _intmat.det(f.matrix)
     if d == 0:
         return False, 0
-    divisors = _intmat.smith_diagonal(m)
+    divisors = _intmat.smith_diagonal(f.matrix)
     order = 1
     for e in divisors:
         order *= e

@@ -570,7 +570,7 @@ def _term_sort_key(term):
     return (total, z, le, atoms)
 
 
-def _render_one_term(c, z, le, atoms, force_coeff=False):
+def _render_one_term(c, z, le, atoms):
     factors = []
     if le:
         factors.append("L" if le == 1 else f"L^{le}")
@@ -581,7 +581,7 @@ def _render_one_term(c, z, le, atoms, force_coeff=False):
     if not factors:
         return str(c)
     body = "*".join(factors)
-    if c == 1 and not force_coeff:
+    if c == 1:
         return body
     return f"{c}*{body}"
 

@@ -413,6 +413,49 @@ class TestIntegerOptions:
         assert typed == {cli._int_arg, cli._target_arg}
 
 
+class TestOracleDefaultPrecision:
+    """Without --precision or TAMEBC_PRECISION, oracle-cokernel works at
+    max(64, d + 1, b*(n-1) + 1), so levels past 64 answer; an explicit
+    order keeps its meaning."""
+
+    LEVELS = [
+        (["--n", "7", "--d", "24", "--p", "5"], "0, 3, 6, 10, 13, 17, 20\n"),
+        (["--n", "2", "--d", "65", "--p", "3"], "0, 32\n"),
+        (["--n", "2", "--d", "65", "--p", "3", "--eisenstein", "t^2 + pi*t - pi"],
+         "0, 32\n"),
+    ]
+
+    IDS = ["n7-d24", "n2-d65", "n2-d65-eisenstein"]
+
+    @pytest.mark.parametrize("argv, expected", LEVELS, ids=IDS)
+    def test_levels_past_64_answer(self, capsys, monkeypatch, argv, expected):
+        monkeypatch.delenv("TAMEBC_PRECISION", raising=False)
+        assert invoke(capsys, "oracle-cokernel", *argv) == (0, expected, "")
+
+    @pytest.mark.parametrize("argv, expected", LEVELS, ids=IDS)
+    def test_explicit_precision_still_binds(self, capsys, monkeypatch, argv, expected):
+        d = argv[argv.index("--d") + 1]
+        monkeypatch.delenv("TAMEBC_PRECISION", raising=False)
+        for extra in (["--precision", "64"], ["--precision", d]):
+            code, out, err = invoke(capsys, "oracle-cokernel", *argv, *extra)
+            assert (code, out) == (1, "")
+            assert err.startswith("PrecisionExhausted")
+        monkeypatch.setenv("TAMEBC_PRECISION", "64")
+        code, out, err = invoke(capsys, "oracle-cokernel", *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("PrecisionExhausted")
+
+    def test_rejected_levels_keep_their_errors(self, capsys, monkeypatch):
+        monkeypatch.delenv("TAMEBC_PRECISION", raising=False)
+        for argv, error in [
+            (["--n", "4", "--d", "6", "--p", "5"], "CongruenceViolation"),
+            (["--n", "0", "--d", "1", "--p", "5"], "SpecInvariantViolation"),
+        ]:
+            code, out, err = invoke(capsys, "oracle-cokernel", *argv)
+            assert (code, out) == (1, "")
+            assert err.startswith(error)
+
+
 class TestDeterminism:
     def test_byte_identical_output(self, capsys, jacobian_file):
         first = invoke(capsys, "zeta-jacobian", "--spec", jacobian_file)
