@@ -133,19 +133,13 @@ def _gluing_arg(args) -> "GluingSpec":
         return _load(args.spec, (TwoPointsGluing, WildPointGluing), "gluing")
     if args.gluing is None:
         raise SpecFileError("need --gluing two-points|wild-point or --spec FILE")
-    config = DVRConfig(2 if args.p is None else args.p, _precision_arg(args))
+    precision = _precision_arg(args)
     bound = args.degree_bound
     if bound is None:
         bound = _env_int("TAMEBC_DEGREE_BOUND", DEFAULT_DEGREE_BOUND)
-    algebra = PolyAlgebra(config, bound)
-    if args.gluing == "two-points":
-        _exclusive(args, "gluing two-points", ["eisenstein"])
-        return TwoPointsGluing(algebra)
-    if args.gluing == "wild-point":
-        if args.eisenstein is None:
-            raise SpecFileError("wild-point gluing needs --eisenstein EXPR")
-        return WildPointGluing(algebra, specfile.parse_eisenstein(args.eisenstein, algebra))
-    raise SpecFileError(f"unknown gluing {args.gluing!r}")
+    return specfile.build_gluing(
+        args.gluing, 2 if args.p is None else args.p, precision, bound, args.eisenstein
+    )
 
 
 # ---------------------------------------------------------------------------

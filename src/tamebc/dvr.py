@@ -370,9 +370,6 @@ class TameContext:
         out[:: self.d] = s.coeffs[: (n - 1) // self.d + 1]
         return _series(tuple(out), self.extension_config)
 
-    def uniformizer(self, power: int = 1) -> TruncSeries:
-        return TruncSeries.uniformizer(self.extension_config, power)
-
 
 class EisensteinPoly:
     """Monic Eisenstein polynomial t^n + a_(n-1) t^(n-1) + ... + a_0.

@@ -230,11 +230,6 @@ class CharacterDecomp:
         self.exponents = tuple(sorted(int(e) % d for e in exponents))
         self.d = d
 
-    def to_d_jumps(self) -> DJumps:
-        # inverse of character_decomposition: d-jumps are <= d-1, so the
-        # residues determine them
-        return DJumps(self.exponents, self.d)
-
     def union(self, other: "CharacterDecomp") -> "CharacterDecomp":
         if self.d != other.d:
             raise SpecInvariantViolation("cannot merge decompositions at different d")
@@ -376,9 +371,10 @@ def character_decomposition(dj: DJumps) -> CharacterDecomp:
 def parse_torus(text: str) -> Torus:
     """Parse a torus expression.
 
-    Grammar:  expr := "gm" | "norm1" | "res:N" | "resquot:N"
+    Grammar:  expr := "gm" | "norm1" | "res:" digit+ | "resquot:" digit+
                     | "product(" expr ("," expr)* ")"
-    Whitespace around tokens is ignored; names are lowercase.
+    A degree is ASCII digits right after the colon, with no sign or
+    blank.  Whitespace around tokens is ignored; names are lowercase.
     """
     s = text.strip()
     node, rest = _parse_torus_expr(s)

@@ -163,13 +163,6 @@ class MotivicPoly:
             n >>= 1
         return result
 
-    # -- structure probes used by reduce and rendering --------------------
-
-    def divide_by_L_minus_one(self):
-        """Return the exact quotient by (L - 1), or None if not divisible."""
-        q = _zpoly_div_l_minus_one({(0, le, at): c for (le, at), c in self.terms.items()})
-        return None if q is None else _poly({(le, at): c for (_, le, at), c in q.items()})
-
     def __repr__(self):
         return _render_terms(
             [(c, 0, le, at) for (le, at), c in self.terms.items()]
@@ -443,10 +436,6 @@ class JacobianSpec:
     @property
     def e(self) -> int:
         return lcm(self.e_tilde, self.n)
-
-    @property
-    def abelian_dimension(self) -> int:
-        return len(self.abelian_jumps)
 
     def conductor(self) -> Fraction:
         return Fraction(self.n - 1, 2) + self.abelian_jumps.conductor()

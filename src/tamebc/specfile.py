@@ -14,6 +14,7 @@ over the valuation ring).  The full grammar lives in
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 
@@ -74,13 +75,17 @@ def _tokenize(text):
 
 
 class _ExprParser:
-    """Recursive-descent evaluator over an arbitrary commutative ring."""
+    """Recursive-descent evaluator over a commutative ring given by its
+    constants, variables and ``add``, ``sub`` and ``mul``."""
 
-    def __init__(self, tokens, const, var):
+    def __init__(self, tokens, const, var, add, sub, mul):
         self.tokens = tokens
         self.pos = 0
         self.const = const
         self.var = var
+        self.add = add
+        self.sub = sub
+        self.mul = mul
 
     def peek(self):
         return self.tokens[self.pos][0]
@@ -100,29 +105,36 @@ class _ExprParser:
         value = self.term()
         while self.peek() in "+-":
             op, _ = self.next()
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
+            value = (self.add if op == "+" else self.sub)(value, self.term())
         return value
 
     def term(self):
         value = self.factor()
         while self.peek() == "*":
             self.next()
-            value = value * self.factor()
+            value = self.mul(value, self.factor())
         return value
 
     def factor(self):
         if self.peek() == "-":
             self.next()
-            return self.const(-1) * self.factor()
+            return self.mul(self.const(-1), self.factor())
         base = self.base()
-        if self.peek() == "^":
-            self.next()
-            kind, val = self.next()
-            if kind != "int":
-                raise SpecFileError("exponent must be a literal integer")
-            return base ** val
-        return base
+        if self.peek() != "^":
+            return base
+        self.next()
+        kind, n = self.next()
+        if kind != "int":
+            raise SpecFileError("exponent must be a literal integer")
+        # repeated squaring; the square after the top bit is never used
+        value = self.const(1)
+        while n:
+            if n & 1:
+                value = self.mul(value, base)
+            n >>= 1
+            if n:
+                base = self.mul(base, base)
+        return value
 
     def base(self):
         kind, val = self.next()
@@ -150,41 +162,8 @@ def parse_motivic_expr(text: str) -> MotivicPoly:
             raise SpecFileError("z is reserved for the zeta variable")
         return MotivicPoly.atom(name)
 
-    return _ExprParser(_tokenize(text), MotivicPoly.from_int, var).parse()
-
-
-class _OktPoly:
-    """Operator glue so the expression parser can work over O_K[t]: the
-    arithmetic is the ``PolyAlgebra``'s, so any intermediate above its
-    degree bound raises ``DegreeBound``."""
-
-    __slots__ = ("coeffs", "algebra")
-
-    def __init__(self, coeffs, algebra: PolyAlgebra):
-        self.coeffs = coeffs  # already a polynomial of ``algebra``
-        self.algebra = algebra
-
-    def __add__(self, other):
-        return _OktPoly(self.algebra.add(self.coeffs, other.coeffs), self.algebra)
-
-    def __sub__(self, other):
-        negated = self.algebra.polynomial([-c for c in other.coeffs])
-        return self + _OktPoly(negated, self.algebra)
-
-    def __mul__(self, other):
-        return _OktPoly(self.algebra.mul(self.coeffs, other.coeffs), self.algebra)
-
-    def __pow__(self, n):
-        algebra = self.algebra
-        out = _OktPoly(algebra.constant(TruncSeries.one(algebra.config)), algebra)
-        square = self
-        while n:
-            if n & 1:
-                out = out * square
-            n >>= 1
-            if n:
-                square = square * square
-        return out
+    return _ExprParser(_tokenize(text), MotivicPoly.from_int, var,
+                       operator.add, operator.sub, operator.mul).parse()
 
 
 def parse_okt_expr(text: str, algebra: PolyAlgebra):
@@ -194,16 +173,19 @@ def parse_okt_expr(text: str, algebra: PolyAlgebra):
     config = algebra.config
 
     def const(c):
-        return _OktPoly(algebra.constant(TruncSeries.from_int(c, config)), algebra)
+        return algebra.constant(TruncSeries.from_int(c, config))
 
     def var(name):
         if name == "pi":
-            return _OktPoly(algebra.constant(TruncSeries.uniformizer(config)), algebra)
+            return algebra.constant(TruncSeries.uniformizer(config))
         if name == "t":
-            return _OktPoly(algebra.monomial(1), algebra)
+            return algebra.monomial(1)
         raise SpecFileError(f"unknown variable {name!r}; expected pi or t")
 
-    return _ExprParser(_tokenize(text), const, var).parse().coeffs
+    def sub(f, g):
+        return algebra.add(f, algebra.polynomial([-c for c in g]))
+
+    return _ExprParser(_tokenize(text), const, var, algebra.add, sub, algebra.mul).parse()
 
 
 def parse_eisenstein(text: str, algebra: PolyAlgebra) -> EisensteinPoly:
@@ -215,62 +197,73 @@ def parse_eisenstein(text: str, algebra: PolyAlgebra) -> EisensteinPoly:
     return EisensteinPoly(coeffs[:-1], config)
 
 
+def build_gluing(style, p, precision, degree_bound, eisenstein) -> GluingSpec:
+    """The ``two-points`` or ``wild-point`` gluing over O_K[t] at residue
+    characteristic p, truncation order ``precision`` and slice bound
+    ``degree_bound``; ``eisenstein`` is the wild point's polynomial text."""
+    algebra = PolyAlgebra(DVRConfig(p, precision), degree_bound)
+    if style == "two-points":
+        if eisenstein is not None:
+            raise SpecFileError("--gluing two-points takes no eisenstein key or --eisenstein")
+        return TwoPointsGluing(algebra)
+    if style == "wild-point":
+        if eisenstein is None:
+            raise SpecFileError("wild-point gluing needs an eisenstein key or --eisenstein")
+        return WildPointGluing(algebra, parse_eisenstein(eisenstein, algebra))
+    raise SpecFileError(f"unknown gluing kind {style!r}")
+
+
 # ---------------------------------------------------------------------------
 # line-level parsing
 # ---------------------------------------------------------------------------
 
 def _split_lines(text: str):
-    """(section, key, value) triples; section None at top level."""
-    entries = []
-    section = None
-    seen = {None: set()}
+    """``{section: {key: value}}`` with the top level under None; a
+    header opens its section even when no key follows it."""
+    sections = {None: {}}
+    section, fields = None, sections[None]
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section in seen:
+            if section in sections:
                 raise SpecFileError(f"line {lineno}: duplicate section [{section}]")
-            seen[section] = set()
+            fields = sections[section] = {}
             continue
         if "=" not in line:
             raise SpecFileError(f"line {lineno}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
         if not key:
             raise SpecFileError(f"line {lineno}: empty key")
-        if key in seen[section]:
+        if key in fields:
             where = f"[{section}]" if section else "top level"
             raise SpecFileError(f"line {lineno}: duplicate key {key!r} in {where}")
-        seen[section].add(key)
-        entries.append((section, key, value))
-    return entries
+        fields[key] = value
+    return sections
 
 
-class _Fields:
-    def __init__(self, entries):
-        self.top = {}
-        self.sections = {}
-        for section, key, value in entries:
-            if section is None:
-                self.top[key] = value
-            else:
-                self.sections.setdefault(section, {})[key] = value
+def _fields(data, where, required, optional=()):
+    """The values of the ``required`` and then the ``optional`` keys of
+    one section, None for an absent optional key.  A missing key, or a
+    key in neither list, raises ``SpecFileError`` naming ``where``."""
+    values = [data.get(key) for key in required]
+    if None in values:
+        missing = [key for key, value in zip(required, values) if value is None]
+        raise SpecFileError(f"{where}: missing keys {missing}")
+    values += [data.get(key) for key in optional]
+    if len(data) > len(values) - values.count(None):
+        unknown = sorted(data.keys() - {*required, *optional})
+        raise SpecFileError(f"{where}: unknown keys {unknown}")
+    return values
 
-    def take(self, key, default=None, required=False):
-        if key in self.top:
-            return self.top.pop(key)
-        if required:
-            raise SpecFileError(f"missing required key {key!r}")
-        return default
 
-    def finish_top(self):
-        if self.top:
-            raise SpecFileError(f"unknown keys: {sorted(self.top)}")
-
-    def finish_sections(self):
-        if self.sections:
-            raise SpecFileError(f"unknown sections: {sorted(self.sections)}")
+def _known_sections(sections, known=()):
+    """Reject every section other than the top level and ``known``."""
+    unknown = sections.keys() - {None, *known}
+    if unknown:
+        raise SpecFileError(f"unknown sections: {sorted(unknown)}")
 
 
 _INT = re.compile(r"-?[0-9]+")
@@ -329,17 +322,17 @@ def _parse_int_matrix(text, key):
 def parse_text(text: str):
     """Parse a spec file into a Torus, JacobianSpec, GluingSpec or
     LatticeMap."""
-    fields = _Fields(_split_lines(text))
-    kind = fields.take("kind", required=True)
-    if kind == "torus":
-        return _parse_torus_kind(fields)
-    if kind == "jacobian":
-        return _parse_jacobian_kind(fields)
-    if kind == "gluing":
-        return _parse_gluing_kind(fields)
-    if kind == "lattice-map":
-        return _parse_lattice_kind(fields)
-    raise SpecFileError(f"unknown kind {kind!r}")
+    sections = _split_lines(text)
+    kind = sections[None].pop("kind", None)
+    if kind is None:
+        raise SpecFileError("top level: missing keys ['kind']")
+    reader = _READERS.get(kind)
+    if reader is None:
+        raise SpecFileError(f"unknown kind {kind!r}")
+    try:
+        return reader(sections)
+    except SpecInvariantViolation as exc:
+        raise SpecFileError(str(exc)) from None
 
 
 def parse_file(path):
@@ -355,117 +348,64 @@ def parse_file(path):
     return parse_text(text)
 
 
-def _parse_torus_kind(fields: _Fields) -> Torus:
-    expr = fields.take("torus", required=True)
-    fields.finish_top()
-    fields.finish_sections()
-    try:
-        return parse_torus(expr)
-    except SpecInvariantViolation as exc:
-        raise SpecFileError(f"torus: {exc}") from None
+def _read_torus(sections) -> Torus:
+    (expr,) = _fields(sections[None], "top level", ("torus",))
+    _known_sections(sections)
+    return parse_torus(expr)
 
 
-def _parse_jacobian_kind(fields: _Fields) -> JacobianSpec:
-    n = _parse_int(fields.take("n", required=True), "n")
-    p = _parse_int(fields.take("p", required=True), "p")
-    e_tilde = _parse_int(fields.take("e_tilde", required=True), "e_tilde")
-    jumps = _parse_rational_list(
-        fields.take("abelian_jumps", required=True), "abelian_jumps"
-    )
-    fields.finish_top()
+_DIVISOR_KEYS = ("t", "u", "phi_tilde", "ab_class")
+
+
+def _read_jacobian(sections) -> JacobianSpec:
+    top = _fields(sections.pop(None), "top level", ("n", "p", "e_tilde", "abelian_jumps"))
+    n, p, e_tilde = map(_parse_int, top, ("n", "p", "e_tilde"))
+    jumps = JumpMultiset(_parse_rational_list(top[3], "abelian_jumps"))
     divisors = {}
-    for name in list(fields.sections):
+    for name, data in sections.items():
         parts = name.split()
         if len(parts) != 2 or parts[0] != "divisor":
-            raise SpecFileError(f"unexpected section [{name}]")
+            raise SpecFileError(f"unknown sections: [{name!r}]")
         alpha = _parse_int(parts[1], "divisor")
-        data = fields.sections.pop(name)
-        allowed = {"t", "u", "phi_tilde", "ab_class"}
-        unknown = set(data) - allowed
-        if unknown:
-            raise SpecFileError(f"[{name}]: unknown keys {sorted(unknown)}")
-        missing = allowed - set(data)
-        if missing:
-            raise SpecFileError(f"[{name}]: missing keys {sorted(missing)}")
+        *ranks, ab_class = _fields(data, f"[{name}]", _DIVISOR_KEYS)
         divisors[alpha] = (
-            _parse_int(data["t"], "t"),
-            _parse_int(data["u"], "u"),
-            _parse_int(data["phi_tilde"], "phi_tilde"),
-            parse_motivic_expr(data["ab_class"]),
+            *map(_parse_int, ranks, _DIVISOR_KEYS), parse_motivic_expr(ab_class)
         )
-    fields.finish_sections()
-    try:
-        return JacobianSpec(n, p, e_tilde, JumpMultiset(jumps), divisors)
-    except SpecInvariantViolation as exc:
-        raise SpecFileError(str(exc)) from None
+    return JacobianSpec(n, p, e_tilde, jumps, divisors)
 
 
-def _parse_gluing_kind(fields: _Fields) -> GluingSpec:
-    style = fields.take("gluing", required=True)
-    p = _parse_int(fields.take("p", required=True), "p")
-    precision = _parse_int(
-        fields.take("precision", str(DEFAULT_PRECISION)), "precision"
+def _read_gluing(sections) -> GluingSpec:
+    style, p, precision, bound, eisenstein = _fields(
+        sections[None], "top level", ("gluing", "p"),
+        ("precision", "degree_bound", "eisenstein"),
     )
-    bound = _parse_int(
-        fields.take("degree_bound", str(DEFAULT_DEGREE_BOUND)), "degree_bound"
+    _known_sections(sections)
+    return build_gluing(
+        style,
+        _parse_int(p, "p"),
+        DEFAULT_PRECISION if precision is None else _parse_int(precision, "precision"),
+        DEFAULT_DEGREE_BOUND if bound is None else _parse_int(bound, "degree_bound"),
+        eisenstein,
     )
-    eis_text = fields.take("eisenstein")
-    fields.finish_top()
-    fields.finish_sections()
-    try:
-        config = DVRConfig(p, precision)
-        algebra = PolyAlgebra(config, bound)
-        if style == "two-points":
-            if eis_text is not None:
-                raise SpecFileError("two-points gluing takes no eisenstein key")
-            return TwoPointsGluing(algebra)
-        if style == "wild-point":
-            if eis_text is None:
-                raise SpecFileError("wild-point gluing needs an eisenstein key")
-            return WildPointGluing(algebra, parse_eisenstein(eis_text, algebra))
-        raise SpecFileError(f"unknown gluing kind {style!r}")
-    except SpecInvariantViolation as exc:
-        raise SpecFileError(str(exc)) from None
 
 
-def _parse_lattice_kind(fields: _Fields) -> LatticeMap:
-    group_text = fields.take("group", required=True)
-    factors = [
-        _parse_int(part.strip(), "group") for part in group_text.split(",")
-    ]
-    fields.finish_top()
-    lattices = {}
+def _read_lattice(sections) -> LatticeMap:
+    (group_text,) = _fields(sections[None], "top level", ("group",))
+    factors = [_parse_int(part.strip(), "group") for part in group_text.split(",")]
+    _known_sections(sections, ("source", "target", "map"))
+    group = FiniteAbelianGroup(tuple(factors))
+    keys = [f"gen{idx}" for idx in range(1, len(factors) + 1)]
+    lattices = []
     for role in ("source", "target"):
-        data = fields.sections.pop(role, None)
-        if data is None:
-            raise SpecFileError(f"missing section [{role}]")
-        gens = []
-        for idx in range(1, len(factors) + 1):
-            key = f"gen{idx}"
-            if key not in data:
-                raise SpecFileError(f"[{role}]: missing {key}")
-            gens.append(_parse_int_matrix(data.pop(key), key))
-        if data:
-            raise SpecFileError(f"[{role}]: unknown keys {sorted(data)}")
-        lattices[role] = gens
-    map_section = fields.sections.pop("map", None)
-    if map_section is None:
-        raise SpecFileError("missing section [map]")
-    matrix_text = map_section.pop("matrix", None)
-    if matrix_text is None:
-        raise SpecFileError("[map]: missing matrix")
-    if map_section:
-        raise SpecFileError(f"[map]: unknown keys {sorted(map_section)}")
-    fields.finish_sections()
-    try:
-        group = FiniteAbelianGroup(tuple(factors))
-        rank_s = len(lattices["source"][0])
-        rank_t = len(lattices["target"][0])
-        source = GLattice(group, rank_s, lattices["source"])
-        target = GLattice(group, rank_t, lattices["target"])
-        return LatticeMap(source, target, _parse_int_matrix(matrix_text, "matrix"))
-    except SpecInvariantViolation as exc:
-        raise SpecFileError(str(exc)) from None
+        texts = _fields(sections.get(role, {}), f"[{role}]", keys)
+        gens = list(map(_parse_int_matrix, texts, keys))
+        lattices.append(GLattice(group, len(gens[0]), gens))
+    (matrix_text,) = _fields(sections.get("map", {}), "[map]", ("matrix",))
+    return LatticeMap(*lattices, _parse_int_matrix(matrix_text, "matrix"))
+
+
+_READERS = {"torus": _read_torus, "jacobian": _read_jacobian,
+            "gluing": _read_gluing, "lattice-map": _read_lattice}
 
 
 # ---------------------------------------------------------------------------

@@ -117,7 +117,7 @@ def ref_oracle(P, ctx, basis_change=None):
         poly = [TruncSeries.zero(ext) for _ in range(n)]
         for v in range(n):
             if change[v][j]:
-                poly[v] = TruncSeries.from_int(change[v][j], ext) * ctx.uniformizer(v * m)
+                poly[v] = TruncSeries.from_int(change[v][j], ext) * TruncSeries.uniformizer(ext, v * m)
         columns.append(_poly_mod(poly, Q.coeffs))
     matrix = [[columns[j][i] for j in range(n)] for i in range(n)]
     return DJumps(smith_normal_form(matrix).exponents, d)

@@ -161,7 +161,7 @@ class TestParsing:
         text = JACOBIAN_TEXT.replace("abelian_jumps = 0", "abelian_jumps = none")
         text = text.replace("t = 1", "t = 0")
         spec = parse_text(text)
-        assert spec.abelian_dimension == 0
+        assert len(spec.abelian_jumps) == 0
 
     def test_unknown_top_key_rejected(self):
         with pytest.raises(SpecFileError):
@@ -211,6 +211,33 @@ class TestParsing:
             parse_text(
                 "kind = gluing\ngluing = wild-point\np = 2\neisenstein = 2*t^2 - pi\n"
             )
+
+
+class TestEmptySections:
+    """A header with no keys still opens a section: an unknown one is
+    rejected and a known one reports its missing keys."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("kind = torus\ntorus = res:4\n[bogus]\n", r"unknown sections: \['bogus'\]"),
+        ("kind = gluing\ngluing = two-points\np = 2\n[extra]\n",
+         r"unknown sections: \['extra'\]"),
+        (JACOBIAN_TEXT + "[divisor 7]\n",
+         r"\[divisor 7\]: missing keys \['t', 'u', 'phi_tilde', 'ab_class'\]"),
+        (JACOBIAN_TEXT + "[bogus]\n", r"unknown sections: \['bogus'\]"),
+        (render_text(klein_four_example_map()) + "[extra]\n", r"unknown sections: \['extra'\]"),
+    ])
+    def test_empty_section_rejected(self, text, message):
+        with pytest.raises(SpecFileError, match=message):
+            parse_text(text)
+
+    def test_errors_name_their_section(self):
+        text = render_text(klein_four_example_map())
+        with pytest.raises(SpecFileError, match=r"^\[map\]: missing keys \['matrix'\]"):
+            parse_text(text[:text.index("[map]")])
+        with pytest.raises(SpecFileError, match=r"^\[source\]: unknown keys \['gen3'\]"):
+            parse_text(text.replace("[source]\n", "[source]\ngen3 = 1\n"))
+        with pytest.raises(SpecFileError, match=r"^top level: unknown keys \['extra'\]"):
+            parse_text("kind = torus\nextra = 1\ntorus = gm\n")
 
 
 class TestNumbers:
