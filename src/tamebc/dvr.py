@@ -33,14 +33,21 @@ Precision policy: the truncation order N is fixed per configuration
 (default 64) and operations raise ``PrecisionExhausted`` instead of
 silently returning undetermined valuations.
 
-Representation: ``TruncSeries.coeffs`` is a tuple of exactly N ``int``s
-in [0, p).  The public constructor establishes this invariant; the ring
-operations rely on it and build results through a trusted constructor.
-Products use Kronecker substitution (Harvey, arXiv:0712.4046): pack both
-operands into one integer with slots of 2*bitlen(p-1) + bitlen(N) bits or
-more, multiply once, read the low N slots back mod p.  Unit division
-multiplies by an inverse from Newton iteration g <- g*(2 - u*g) (von zur
-Gathen and Gerhard, *Modern Computer Algebra*, section 9.1).
+Representation: a ``TruncSeries`` holds its N digits in [0, p) as a
+tuple, as a packed integer, or both.  Slot i of the packed integer
+(Kronecker substitution, Harvey, arXiv:0712.4046) is congruent to digit i
+mod p and at most the series' top.  A slot holds a product plus one
+offset, 2*N*(p-1)^2 + 2*p, in whole bytes; the cap is its largest value.
+A product multiplies two reduced packs (every slot < p) and keeps N
+slots: its top is N*(p-1)^2.  A sum adds packs and tops.  A difference
+a - b, or -b, adds m*(1, ..., 1), where m is the least multiple of p at
+or above b's top, so that no slot borrows.  An operation whose top would
+pass the cap first reduces its operands: one unpack mod p, one pack.
+Digits are read once, when needed: ``coeffs``, the valuation, the zero
+and unit tests, ``==``, ``hash``, ``repr``, the shifts and ``embed``.
+Unit division multiplies by an inverse from Newton iteration
+g <- g*(2 - u*g) (von zur Gathen and Gerhard, *Modern Computer Algebra*,
+section 9.1).
 """
 
 from __future__ import annotations
@@ -110,8 +117,8 @@ _SLOT_CODES = {array(c).itemsize: c for c in "QIH"} if sys.byteorder == "little"
 
 
 def _kernel_slots(p: int, n: int):
-    """(array typecode or None, bytes) of a slot: n terms below (p-1)^2 fit."""
-    need = (2 * (p - 1).bit_length() + n.bit_length() + 7) // 8
+    """(array typecode or None, bytes) of a slot holding 2*n*(p-1)^2 + 2*p."""
+    need = ((2 * n * (p - 1) ** 2 + 2 * p).bit_length() + 7) // 8
     size = min((k for k in _SLOT_CODES if k >= need), default=need)
     return _SLOT_CODES.get(size), size
 
@@ -123,13 +130,21 @@ class DVRConfig:
     p: int
     precision: int = DEFAULT_PRECISION
     _slots: tuple = field(init=False, repr=False, compare=False)
+    _mask: int = field(init=False, repr=False, compare=False)  # the low N slots
+    _ones: int = field(init=False, repr=False, compare=False)  # 1 in each of them
+    _cap: int = field(init=False, repr=False, compare=False)  # the largest slot value
 
     def __post_init__(self):
         if not _is_prime(self.p):
             raise SpecInvariantViolation(f"residue characteristic {self.p} is not prime")
         if self.precision < 2:
             raise SpecInvariantViolation("precision must be at least 2")
-        object.__setattr__(self, "_slots", _kernel_slots(self.p, self.precision))
+        slots = _kernel_slots(self.p, self.precision)
+        bits = 8 * slots[1]
+        object.__setattr__(self, "_slots", slots)
+        object.__setattr__(self, "_mask", (1 << (bits * self.precision)) - 1)
+        object.__setattr__(self, "_ones", _pack([1] * self.precision, slots))
+        object.__setattr__(self, "_cap", (1 << bits) - 1)
 
 
 def _pack(coeffs, slots) -> int:
@@ -149,24 +164,19 @@ def _unpack(value: int, count: int, slots, p: int) -> list:
     return [int.from_bytes(raw[i:i + size], "little") % p for i in range(0, len(raw), size)]
 
 
-def _product(a, b, config: DVRConfig) -> tuple:
-    """Coefficients of a*b mod pi^N by one Kronecker-substituted multiply."""
-    s = config._slots
-    return tuple(_unpack(_pack(a, s) * _pack(b, s), config.precision, s, config.p))
-
-
-def _inverse(u, config: DVRConfig) -> list:
-    """Coefficients of 1/u mod pi^N for a unit u, by Newton iteration.
+def _inverse(u: "TruncSeries") -> int:
+    """Reduced pack of 1/u mod pi^N for a unit u, by Newton iteration.
 
     If g = 1/u mod pi^k, then u*g = 1 + pi^k*h mod pi^m (m = 2k) and the
     step g <- g*(2 - u*g) appends the m - k coefficients of -g*h mod
     pi^(m-k) to g.  Slot j of a packed product only involves coefficients
     up to j, so neither u nor g needs truncating before a multiply.
     """
+    config = u.config
     p, n, slots = config.p, config.precision, config._slots
     bits = 8 * slots[1]
-    packed_u = _pack(u, slots)
-    g = [pow(u[0], -1, p)]
+    packed_u = u._pack(True)
+    g = [pow(u.coeffs[0], -1, p)]
     k = 1
     while k < n:
         m = min(2 * k, n)
@@ -175,18 +185,19 @@ def _inverse(u, config: DVRConfig) -> list:
         gh = _unpack(packed_g * _pack(h, slots), m - k, slots, p)
         g += [-c % p for c in gh]
         k = m
-    return g
+    return _pack(g, slots)
 
 
 class TruncSeries:
-    """Element of F_p[[pi]] / pi^N, stored as N coefficients mod p.
+    """Element of F_p[[pi]] / pi^N, held as digits, as a packed integer or both.
 
     Invariant: ``coeffs`` is a tuple of exactly N ``int``s in [0, p).  The
     constructor truncates, pads and reduces any iterable of ``int``s into
     that form, and raises ``SpecInvariantViolation`` on other coefficients.
+    Ring operations keep their results packed (see the module docstring).
     """
 
-    __slots__ = ("coeffs", "config")
+    __slots__ = ("_coeffs", "_packed", "_top", "config")
 
     def __init__(self, coeffs, config: DVRConfig):
         p = config.p
@@ -195,7 +206,9 @@ class TruncSeries:
             if not isinstance(c, int):
                 raise SpecInvariantViolation(f"coefficient {c!r} is not an integer")
             data.append(c % p)
-        self.coeffs = tuple(data) + (0,) * (config.precision - len(data))
+        self._coeffs = tuple(data) + (0,) * (config.precision - len(data))
+        self._packed = None
+        self._top = p - 1
         self.config = config
 
     # -- constructors ------------------------------------------------------
@@ -222,6 +235,38 @@ class TruncSeries:
             )
         return cls((0,) * power + (1,), config)
 
+    # -- representation ----------------------------------------------------
+
+    @property
+    def coeffs(self) -> tuple:
+        """The N coefficients in [0, p), unpacked once and then kept."""
+        if self._coeffs is None:
+            cfg = self.config
+            self._coeffs = tuple(_unpack(self._packed, cfg.precision, cfg._slots, cfg.p))
+        return self._coeffs
+
+    def _pack(self, reduced: bool = False) -> int:
+        """The packed value; with ``reduced``, one whose every slot is < p."""
+        if self._packed is None or (reduced and self._top >= self.config.p):
+            self._packed = _pack(self.coeffs, self.config._slots)
+            self._top = self.config.p - 1
+        return self._packed
+
+    def _times(self, packed: int) -> "TruncSeries":
+        """Product with a reduced pack, masked to N slots."""
+        cfg = self.config
+        return _packed_series(
+            self._pack(True) * packed & cfg._mask, cfg.precision * (cfg.p - 1) ** 2, cfg
+        )
+
+    def _reduce_if(self, other: "TruncSeries", top: int) -> bool:
+        """Reduce both operands when ``top`` passes the slot cap."""
+        if top <= self.config._cap:
+            return False
+        self._pack(True)
+        other._pack(True)
+        return True
+
     # -- structure ---------------------------------------------------------
 
     @property
@@ -238,7 +283,7 @@ class TruncSeries:
         return bool(self.coeffs[0])
 
     def _check_config(self, other: "TruncSeries"):
-        if self.config != other.config:
+        if self.config is not other.config and self.config != other.config:
             raise ConfigMismatch(
                 f"operands over {self.config} and {other.config}"
             )
@@ -247,25 +292,19 @@ class TruncSeries:
 
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
         self._check_config(other)
-        p = self.config.p
-        return _series(
-            tuple([(a + b) % p for a, b in zip(self.coeffs, other.coeffs)]), self.config
-        )
+        self._reduce_if(other, self._top + other._top)
+        return _packed_series(self._pack() + other._pack(), self._top + other._top, self.config)
 
     def __neg__(self) -> "TruncSeries":
-        p = self.config.p
-        return _series(tuple([-a % p for a in self.coeffs]), self.config)
+        return _difference(_packed_series(0, 0, self.config), self)
 
     def __sub__(self, other: "TruncSeries") -> "TruncSeries":
         self._check_config(other)
-        p = self.config.p
-        return _series(
-            tuple([(a - b) % p for a, b in zip(self.coeffs, other.coeffs)]), self.config
-        )
+        return _difference(self, other)
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         self._check_config(other)
-        return _series(_product(self.coeffs, other.coeffs, self.config), self.config)
+        return self._times(other._pack(True))
 
     def unit_divide(self, other: "TruncSeries") -> "TruncSeries":
         """Exact division by a unit of the ring."""
@@ -274,8 +313,7 @@ class TruncSeries:
             raise NonUnitDivisor(
                 f"divisor has valuation {other.valuation} > 0"
             )
-        inverse = _inverse(other.coeffs, self.config)
-        return _series(_product(self.coeffs, inverse, self.config), self.config)
+        return self._times(_inverse(other))
 
     def shift_up(self, k: int) -> "TruncSeries":
         """Multiply by pi^k."""
@@ -333,12 +371,30 @@ class TruncSeries:
         return " + ".join(parts)
 
 
-def _series(coeffs: tuple, config: DVRConfig) -> TruncSeries:
-    """Trusted constructor: ``coeffs`` already satisfies the invariant."""
+def _packed_series(packed, top: int, config: DVRConfig) -> TruncSeries:
+    """Trusted constructor: every slot of ``packed`` is at most ``top`` <= cap."""
     s = object.__new__(TruncSeries)
-    s.coeffs = coeffs
+    s._coeffs = None
+    s._packed = packed
+    s._top = top
     s.config = config
     return s
+
+
+def _series(coeffs: tuple, config: DVRConfig) -> TruncSeries:
+    """Trusted constructor: ``coeffs`` already satisfies the invariant."""
+    s = _packed_series(None, config.p - 1, config)
+    s._coeffs = coeffs
+    return s
+
+
+def _difference(a: TruncSeries, b: TruncSeries) -> TruncSeries:
+    """a - b, offset by the least multiple of p at or above b's top."""
+    cfg = a.config
+    m = -(-b._top // cfg.p) * cfg.p
+    if a._reduce_if(b, a._top + m):
+        m = cfg.p
+    return _packed_series(a._pack() + m * cfg._ones - b._pack(), a._top + m, cfg)
 
 
 @dataclass(frozen=True)

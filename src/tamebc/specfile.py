@@ -361,12 +361,14 @@ def _read_jacobian(sections) -> JacobianSpec:
     top = _fields(sections.pop(None), "top level", ("n", "p", "e_tilde", "abelian_jumps"))
     n, p, e_tilde = map(_parse_int, top, ("n", "p", "e_tilde"))
     jumps = JumpMultiset(_parse_rational_list(top[3], "abelian_jumps"))
-    divisors = {}
+    divisors, names = {}, {}
     for name, data in sections.items():
         parts = name.split()
         if len(parts) != 2 or parts[0] != "divisor":
             raise SpecFileError(f"unknown sections: [{name!r}]")
         alpha = _parse_int(parts[1], "divisor")
+        if names.setdefault(alpha, name) != name:
+            raise SpecFileError(f"[{names[alpha]}] and [{name}] both give divisor {alpha}")
         *ranks, ab_class = _fields(data, f"[{name}]", _DIVISOR_KEYS)
         divisors[alpha] = (
             *map(_parse_int, ranks, _DIVISOR_KEYS), parse_motivic_expr(ab_class)

@@ -1,6 +1,9 @@
 import random
+import sys
+import types
 from itertools import permutations
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +12,7 @@ from tamebc import (
     ConfigMismatch,
     CongruenceViolation,
     DJumps,
+    DomainError,
     DVRConfig,
     EisensteinPoly,
     NonUnitDivisor,
@@ -20,6 +24,7 @@ from tamebc import (
     d_jumps_closed_form,
     smith_normal_form,
 )
+from tamebc import dvr
 from tamebc._intmat import mat_identity
 from tamebc.dvr import _kernel_slots
 
@@ -234,6 +239,149 @@ class TestPackedKernel:
             cfg,
         )
         assert a.unit_divide(b) * b == a
+
+
+# ---------------------------------------------------------------------------
+# differential sweep: chains of packed ring operations against digit lists
+# ---------------------------------------------------------------------------
+
+def ref_mul(a, b, p, n):
+    """Truncated product of two digit lists by one big-integer multiply,
+    with byte slots wide enough for any sum of n products (reference)."""
+    width = (((p - 1) ** 2 * n).bit_length() + 8) // 8
+    pack = lambda c: int.from_bytes(b"".join(x.to_bytes(width, "little") for x in c), "little")
+    raw = (pack(a) * pack(b)).to_bytes(2 * n * width, "little")
+    return [int.from_bytes(raw[i * width:(i + 1) * width], "little") % p for i in range(n)]
+
+
+def ref_unit_divide(a, b, p, n):
+    """a / b mod pi^n for a unit b, by Newton iteration on digit lists."""
+    g = [pow(b[0], -1, p)]
+    k = 1
+    while k < n:
+        k = min(2 * k, n)
+        e = [-x % p for x in ref_mul(b[:k], g + [0] * (k - len(g)), p, k)]
+        e[0] = (e[0] + 2) % p
+        g = ref_mul(g + [0] * (k - len(g)), e, p, k)
+    return ref_mul(a, g, p, n)
+
+
+CHAIN_PRIMES = (2, 3, 7, 251, 65521, 2**31 - 1)
+CHAIN_PRECISIONS = (2, 3, 64, 1024)
+CHAIN_OPS = ("+", "-", "neg", "*", "unit_divide", "shift_up", "shift_down")
+
+
+def chain(ring, cfg, rng, steps, coverage):
+    """The pool of (series, digit list) pairs after one chain in ``ring``.
+
+    Every result stays in the pool and feeds later steps.  First come
+    ``steps`` operations of every kind on random operands, then ``steps``
+    of ``+ - neg`` on the last two results, whose tops grow until an
+    operation reduces its operands (counted as "cap")."""
+    p, n = cfg.p, cfg.precision
+    digits = [
+        [rng.randrange(p) for _ in range(n)],
+        [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(n - 1)],
+        [0] + [p - 1] * (n - 1),
+        [rng.randrange(1, p)] + [0] * (n - 1),
+    ]
+    pool = [(ring.TruncSeries(x, cfg), x) for x in digits]
+    for step in range(2 * steps):
+        if step < steps:
+            op = rng.choice(CHAIN_OPS)
+            x, xs = pool[-1] if rng.random() < 0.5 else rng.choice(pool)
+            y, ys = rng.choice(pool)
+        else:
+            op = rng.choice(CHAIN_OPS[:3])
+            (x, xs), (y, ys) = pool[-1], pool[-2]
+        offset = -(-y._top // p) * p
+        if op == "+":
+            coverage["cap"] += x._top + y._top > cfg._cap
+            out, want = x + y, [(a + b) % p for a, b in zip(xs, ys)]
+        elif op == "-":
+            coverage["cap"] += x._top + offset > cfg._cap
+            out, want = x - y, [(a - b) % p for a, b in zip(xs, ys)]
+        elif op == "neg":
+            coverage["cap"] += -(-x._top // p) * p > cfg._cap
+            out, want = -x, [-a % p for a in xs]
+        elif op == "*":
+            out, want = x * y, ref_mul(xs, ys, p, n)
+        elif op == "unit_divide":
+            y, ys = rng.choice([(s, d) for s, d in pool if d[0]])
+            out, want = x.unit_divide(y), ref_unit_divide(xs, ys, p, n)
+        elif op == "shift_up":
+            k = rng.randrange(n)
+            out, want = x.shift_up(k), ([0] * k + xs)[:n]
+        else:
+            k = next((i for i, a in enumerate(xs) if a), n)
+            out, want = x.shift_down(k), xs[k:] + [0] * k
+        coverage[op] += 1
+        pool.append((out, want))
+    return pool
+
+
+def chain_sweep(ring, seed, steps):
+    """(mismatches, coverage) of one chain per prime and precision in
+    ``ring`` (a module with ``DVRConfig`` and ``TruncSeries``) against
+    digit lists.  Results are compared only at the end of a chain: by
+    ``==`` and ``hash`` against the public constructor's series, then
+    digit by digit."""
+    rng = random.Random(seed)
+    mismatches = []
+    coverage = dict.fromkeys(CHAIN_OPS + ("cap",), 0)
+    for p in CHAIN_PRIMES:
+        for n in CHAIN_PRECISIONS:
+            cfg = ring.DVRConfig(p, n)
+            try:
+                for out, want in chain(ring, cfg, rng, steps, coverage):
+                    plain = ring.TruncSeries(want, cfg)
+                    if not (out == plain and hash(out) == hash(plain)
+                            and out.coeffs == tuple(want)):
+                        mismatches.append((p, n, want))
+            except DomainError as exc:  # a wrong digit can make a unit a non-unit
+                mismatches.append((p, n, type(exc).__name__))
+    return mismatches, coverage
+
+
+class TestPackedChains:
+    def test_chains_match_digit_lists(self):
+        mismatches, coverage = chain_sweep(dvr, 5, 40)
+        assert mismatches == []
+        assert min(coverage[op] for op in CHAIN_OPS) >= 60, coverage
+        assert coverage["cap"] >= 10, coverage
+
+
+def ring_mutant(old, new):
+    """``tamebc.dvr`` with one edit to its source, as a separate module."""
+    source = Path(dvr.__file__).read_text(encoding="utf-8")
+    assert source.count(old) == 1, old
+    module = types.ModuleType("tamebc._ring_mutant")
+    module.__package__ = "tamebc"
+    sys.modules[module.__name__] = module  # the dataclasses look their module up
+    try:
+        exec(compile(source.replace(old, new), module.__name__, "exec"), vars(module))
+    finally:
+        del sys.modules[module.__name__]
+    return module
+
+
+RING_MUTANTS = {
+    "offset-not-multiple-of-p": ("m = -(-b._top // cfg.p) * cfg.p", "m = b._top"),
+    "sub-keeps-top": ("b._pack(), a._top + m, cfg)", "b._pack(), a._top, cfg)"),
+    "mask-one-slot-short": ("(1 << (bits * self.precision)) - 1",
+                            "(1 << (bits * (self.precision - 1))) - 1"),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(RING_MUTANTS))
+def test_chain_sweep_catches_mutant(mutant):
+    assert chain_sweep(ring_mutant(*RING_MUTANTS[mutant]), 5, 40)[0]
+
+
+def test_unmutated_ring_copy_passes():
+    # control: the mismatches above come from the edits, not from the copy
+    same = RING_MUTANTS["sub-keeps-top"][0]
+    assert chain_sweep(ring_mutant(same, same), 5, 40)[0] == []
 
 
 class TestDVRConfig:

@@ -188,6 +188,13 @@ class TestParsing:
         with pytest.raises(SpecFileError):
             parse_text("torus = gm\n")
 
+    def test_repeated_divisor_index_rejected(self):
+        # two spellings of one index are two sections, but one divisor
+        text = JACOBIAN_TEXT + "[divisor 01]\nt = 0\nu = 0\nphi_tilde = 5\nab_class = 1\n"
+        with pytest.raises(SpecFileError,
+                           match=r"^\[divisor 1\] and \[divisor 01\] both give divisor 1$"):
+            parse_text(text)
+
     def test_invariants_surface_as_spec_file_errors(self):
         broken = JACOBIAN_TEXT.replace("n = 2", "n = 6")
         with pytest.raises(SpecFileError):
