@@ -46,13 +46,6 @@ class FiniteAbelianGroup:
         if not self.factors or any(m < 2 for m in self.factors):
             raise SpecInvariantViolation("cyclic factors must all be >= 2")
 
-    @property
-    def order(self) -> int:
-        out = 1
-        for m in self.factors:
-            out *= m
-        return out
-
 
 @dataclass(frozen=True, slots=True)
 class GLattice:

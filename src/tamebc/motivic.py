@@ -51,6 +51,7 @@ __all__ = [
     "zeta_jacobian",
     "jacobian_order",
     "pole_report",
+    "render_cyclo",
 ]
 
 
@@ -239,6 +240,8 @@ class CycloRational:
         for a, b in denominator:
             if b < 1:
                 raise SpecInvariantViolation("denominator factor needs b >= 1")
+            if a < 0:
+                raise SpecInvariantViolation("negative L exponent is outside Z[L]")
             den.append((int(a), int(b)))
         self.numerator = num
         self.denominator = tuple(sorted(den))
@@ -250,17 +253,10 @@ class CycloRational:
             and self.denominator == other.denominator
         )
 
-    def is_zero(self) -> bool:
-        return not self.numerator
-
     def expand(self, order: int) -> dict:
         """Formal power-series coefficients of z^0 .. z^order."""
         cur = {k: p for k, p in self.numerator.items() if k <= order}
         for a, b in self.denominator:
-            if a < 0:
-                raise SpecInvariantViolation(
-                    "series expansion with negative L exponent is outside Z[L]"
-                )
             cur = _series_divide(cur, a, b, order)
         return cur
 
@@ -272,8 +268,6 @@ class CycloRational:
 
 def _series_divide(numerator: dict, a: int, b: int, order: int) -> dict:
     """Coefficients z^0 .. z^order of numerator / (1 - L^a z^b)."""
-    if a < 0:
-        raise SpecInvariantViolation("L exponent must be >= 0")
     q = {}
     for k in range(order + 1):
         val = numerator.get(k)
@@ -333,7 +327,9 @@ def zeta_induced_torus(n: int, p: int) -> CycloRational:
 
     The level-d coefficient is (L-1) L^(n-1) L^ord(d); collecting the
     levels by residue mod n yields a single denominator factor
-    (1 - L^(n(n-1)/2) z^n).
+    (1 - L^(n(n-1)/2) z^n).  The result is reduced: the numerator's z
+    exponents are 1..n, and a nonzero multiple of (1 - L^a z^n) with no
+    z^0 term has degree above n.
     """
     _purely_wild_degree(n, p)
     torus = Res(n)
@@ -343,8 +339,7 @@ def zeta_induced_torus(n: int, p: int) -> CycloRational:
             continue
         k = n - 1 + order_function(torus, alpha)
         num[alpha] = _poly({(k + 1, ()): 1, (k, ()): -1})
-    den = ((n * (n - 1) // 2, n),)
-    return reduce(CycloRational(num, den))
+    return CycloRational(num, ((n * (n - 1) // 2, n),))
 
 
 # ---------------------------------------------------------------------------
@@ -466,27 +461,30 @@ def zeta_jacobian(spec: JacobianSpec) -> CycloRational:
     conductor.  The component count grows like ((alpha+q*e)/alpha')^t',
     a polynomial in q of degree t' <= t_max, so every residue is assembled
     over the common denominator (1-x)^(t_max+1) with the numerator given
-    by ``_difference_numerator``, and the result is reduced.
+    by ``_difference_numerator``.  With t_max taken over the divisors of
+    nonzero class (the others add nothing), the result is reduced: a
+    residue's sum is P(x)/(1-x)^(t'+1) with P(1) = t'! * lc(c) != 0, so
+    its numerator has exactly t_max - t' factors (1-x), and the residues
+    hold distinct z exponents mod e in the domain Z[L, atoms].
     """
     n = spec.n
-    p = spec.p
     e = spec.e
     c = spec.conductor()
     ec = e * c
     if ec.denominator != 1:
         raise NonIntegralExponent(f"e*c = {ec} is not an integer")
     ec = int(ec)
-    t_max = max(data.t for data in spec.divisors.values())
-
     classes = {
         a1: (_l_minus_one_power(data.t) * data.ab_class).terms
-        for a1, data in spec.divisors.items()
+        for a1, data in spec.divisors.items() if data.ab_class
     }
+    t_max = max((spec.divisors[a1].t for a1 in classes), default=-1)
     num = {}
     for alpha in range(1, e + 1):
-        if alpha % p == 0:
-            continue
+        # p divides e, so a level divisible by p has no tame divisor in classes
         a1 = gcd(alpha, e)
+        if a1 not in classes:
+            continue
         data = spec.divisors[a1]
         shift = n - 1 + data.u + jacobian_order(spec, alpha)
         scale = n * data.phi_tilde
@@ -496,8 +494,7 @@ def zeta_jacobian(spec: JacobianSpec) -> CycloRational:
                 # the keys alpha + e*i are distinct and m != 0: nothing adds up or cancels
                 s, m = shift + ec * i, scale * coeff
                 num[alpha + e * i] = _poly({(le + s, at): c * m for (le, at), c in cls.items()})
-    den = ((ec, e),) * (t_max + 1)
-    return reduce(CycloRational(num, den))
+    return CycloRational(num, ((ec, e),) * (t_max + 1))
 
 
 def _l_minus_one_power(t: int) -> MotivicPoly:
@@ -577,8 +574,6 @@ def _render_one_term(c, z, le, atoms):
 
 def _render_terms(flat):
     """Sum rendering with terms in ascending degree-lex (z, L, atoms)."""
-    if not flat:
-        return "0"
     flat = sorted(flat, key=_term_sort_key)
     pieces = []
     for idx, (c, z, le, atoms) in enumerate(flat):

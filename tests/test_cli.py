@@ -456,6 +456,45 @@ class TestOracleDefaultPrecision:
             assert err.startswith(error)
 
 
+class TestOracleDefaultCap:
+    """A default truncation order above cli.ORACLE_PRECISION_CAP is refused
+    with PrecisionExhausted before any ring is built; --precision and
+    TAMEBC_PRECISION lift the cap, and a bad --p or --d keeps its error."""
+
+    def test_level_past_the_cap_is_refused_quickly(self, capsys, monkeypatch):
+        from tamebc import cli
+
+        monkeypatch.delenv("TAMEBC_PRECISION", raising=False)
+        built = []
+        real = cli.DVRConfig
+        monkeypatch.setattr(cli, "DVRConfig", lambda *a: built.append(a) or real(*a))
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "oracle-cokernel", "--n", "23", "--d", "1000", "--p", "3")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err.startswith("PrecisionExhausted")
+        assert "d = 1000" in err and "20087" in err and "--precision 20087" in err
+        assert all(20087 not in a for a in built)
+
+    def test_explicit_order_lifts_the_cap(self, capsys, monkeypatch):
+        argv = ["oracle-cokernel", "--n", "2", "--d", "9001", "--p", "3"]
+        monkeypatch.delenv("TAMEBC_PRECISION", raising=False)
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("PrecisionExhausted") and "9002" in err
+        assert invoke(capsys, *argv, "--precision", "9002") == (0, "0, 4500\n", "")
+        monkeypatch.setenv("TAMEBC_PRECISION", "9002")
+        assert invoke(capsys, *argv) == (0, "0, 4500\n", "")
+
+    def test_bad_p_or_d_keeps_its_error(self, capsys, monkeypatch):
+        monkeypatch.delenv("TAMEBC_PRECISION", raising=False)
+        for argv in (["--n", "2", "--d", "9003", "--p", "3"],
+                     ["--n", "2", "--d", "9001", "--p", "4"]):
+            code, out, err = invoke(capsys, "oracle-cokernel", *argv)
+            assert (code, out) == (1, "")
+            assert err.startswith("SpecInvariantViolation"), err
+
+
 class TestDeterminism:
     def test_byte_identical_output(self, capsys, jacobian_file):
         first = invoke(capsys, "zeta-jacobian", "--spec", jacobian_file)
