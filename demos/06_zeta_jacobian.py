@@ -59,6 +59,6 @@ for label, spec in examples:
     print(f"  e = {spec.e}, tame conductor = {expected_s}")
     print(f"  Z(z) = {render_cyclo(z)}")
     print(f"  pole: {report}  (location = conductor: {report.s == expected_s})")
-    counts = {a: component_count(spec.n, spec, a) for a in sorted(spec.divisors)}
+    counts = {a: component_count(spec, a) for a in sorted(spec.divisors)}
     print(f"  component counts by divisor: {counts}")
     print()

@@ -286,7 +286,7 @@ def _cmd_pushout(args, out):
 
 def _cmd_components(args, out):
     spec = _load(args.spec, JacobianSpec, "jacobian")
-    print(component_count(spec.n, spec, args.alpha), file=out)
+    print(component_count(spec, args.alpha), file=out)
 
 
 # ---------------------------------------------------------------------------

@@ -59,18 +59,13 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 class Torus:
-    """Base class for torus expression nodes."""
-
-    @property
-    def dimension(self) -> int:
-        raise NotImplementedError
+    """Base class for torus expression nodes; a torus's dimension is the
+    number of its jumps, ``len(torus_jumps(t))``."""
 
 
 @dataclass(frozen=True)
 class Gm(Torus):
-    @property
-    def dimension(self) -> int:
-        return 1
+    pass
 
 
 @dataclass(frozen=True)
@@ -81,10 +76,6 @@ class Res(Torus):
         if self.n < 1:
             raise SpecInvariantViolation("Res degree must be >= 1")
 
-    @property
-    def dimension(self) -> int:
-        return self.n
-
 
 @dataclass(frozen=True)
 class ResQuot(Torus):
@@ -94,16 +85,10 @@ class ResQuot(Torus):
         if self.n < 1:
             raise SpecInvariantViolation("ResQuot degree must be >= 1")
 
-    @property
-    def dimension(self) -> int:
-        return self.n - 1
-
 
 @dataclass(frozen=True)
 class NormOneQuadratic(Torus):
-    @property
-    def dimension(self) -> int:
-        return 1
+    pass
 
 
 @dataclass(frozen=True)
@@ -116,19 +101,40 @@ class Product(Torus):
                 raise SpecInvariantViolation("Product factors must be tori")
         object.__setattr__(self, "factors", tuple(self.factors))
 
-    @property
-    def dimension(self) -> int:
-        return sum(f.dimension for f in self.factors)
-
 
 # ---------------------------------------------------------------------------
 # jump containers
 # ---------------------------------------------------------------------------
 
-class JumpMultiset:
-    """Sorted multiset of rational jumps in the half-open interval [0,1)."""
+class _Sorted:
+    """A sorted tuple ``entries`` read as a multiset, equal to a container
+    of the same type and ``_key`` (subclasses add their other fields)."""
 
     __slots__ = ("entries",)
+
+    def _key(self):
+        return self.entries
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __iter__(self):
+        return iter(self.entries)
+
+    def __len__(self):
+        return len(self.entries)
+
+    def __str__(self):
+        return ", ".join(str(e) for e in self.entries)
+
+
+class JumpMultiset(_Sorted):
+    """Sorted multiset of rational jumps in the half-open interval [0,1)."""
+
+    __slots__ = ()
 
     def __init__(self, entries=()):
         vals = tuple(sorted(Fraction(e) for e in entries))
@@ -136,10 +142,6 @@ class JumpMultiset:
             if not 0 <= v.numerator < v.denominator:
                 raise SpecInvariantViolation(f"jump {v} outside [0,1)")
         self.entries = vals
-
-    @property
-    def dimension(self) -> int:
-        return len(self.entries)
 
     def union(self, other: "JumpMultiset") -> "JumpMultiset":
         return JumpMultiset(self.entries + other.entries)
@@ -150,29 +152,14 @@ class JumpMultiset:
     def denominator_lcm(self) -> int:
         return lcm(1, *(e.denominator for e in self.entries))
 
-    def __eq__(self, other):
-        return isinstance(other, JumpMultiset) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
     def __repr__(self):
         return f"JumpMultiset({list(self.entries)!r})"
 
-    def __str__(self):
-        return ", ".join(str(e) for e in self.entries)
 
-
-class DJumps:
+class DJumps(_Sorted):
     """Sorted multiset of integer jumps at tame level d, entries in [0, d-1]."""
 
-    __slots__ = ("entries", "d")
+    __slots__ = ("d",)
 
     def __init__(self, entries, d: int):
         if d < 1:
@@ -184,72 +171,43 @@ class DJumps:
         self.entries = vals
         self.d = d
 
+    def _key(self):
+        return self.entries, self.d
+
     def order(self) -> int:
         return sum(self.entries)
 
     def union(self, other: "DJumps") -> "DJumps":
-        if self.d != other.d:
-            raise SpecInvariantViolation("cannot merge d-jumps at different levels")
-        return DJumps(self.entries + other.entries, self.d)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DJumps)
-            and self.entries == other.entries
-            and self.d == other.d
-        )
-
-    def __hash__(self):
-        return hash((self.entries, self.d))
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
+        if type(other) is not type(self) or other.d != self.d:
+            raise SpecInvariantViolation(
+                f"cannot merge {other!r} into a {type(self).__name__} at level {self.d}")
+        return type(self)(self.entries + other.entries, self.d)
 
     def __repr__(self):
-        return f"DJumps({list(self.entries)!r}, d={self.d})"
-
-    def __str__(self):
-        return ", ".join(str(e) for e in self.entries)
+        return f"{type(self).__name__}({list(self.entries)!r}, d={self.d})"
 
 
-class CharacterDecomp:
-    """Multiset of character exponents in Z/dZ for the level-d Galois action.
+class CharacterDecomp(DJumps):
+    """Multiset of character exponents in Z/dZ for the level-d Galois action:
+    d-jumps read modulo d.
 
     Exponent j stands for the j-th tensor power of the tautological
     character of the group of d-th roots of unity.
     """
 
-    __slots__ = ("exponents", "d")
+    __slots__ = ()
 
     def __init__(self, exponents, d: int):
         if d < 1:
             raise SpecInvariantViolation("modulus d must be >= 1")
-        self.exponents = tuple(sorted(int(e) % d for e in exponents))
-        self.d = d
+        super().__init__((int(e) % d for e in exponents), d)
 
-    def union(self, other: "CharacterDecomp") -> "CharacterDecomp":
-        if self.d != other.d:
-            raise SpecInvariantViolation("cannot merge decompositions at different d")
-        return CharacterDecomp(self.exponents + other.exponents, self.d)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CharacterDecomp)
-            and self.exponents == other.exponents
-            and self.d == other.d
-        )
-
-    def __hash__(self):
-        return hash((self.exponents, self.d))
-
-    def __repr__(self):
-        return f"CharacterDecomp({list(self.exponents)!r}, d={self.d})"
+    @property
+    def exponents(self) -> tuple:
+        return self.entries
 
     def __str__(self):
-        return ", ".join(str(e) for e in self.exponents) + f" (mod {self.d})"
+        return f"{super().__str__()} (mod {self.d})"
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +288,11 @@ def order_recursion_check(spec: Torus, alpha: int, q: int) -> bool:
     """Check ord(alpha + q*e) == ord(alpha) + q*e*c for the torus.
 
     Here e is the lcm of the jump denominators (n for Res(n)) and c the
-    tame conductor.  The identity is a floor-sum fact, so the check is
-    pure integer arithmetic: q*e*c is q times the sum of (e/den)*num over
-    the jumps num/den.  Side conditions about coprimality to the residue
+    tame conductor.  Both orders come from the closed form
+    ``order_function`` and the shift from the jumps, so a wrong closed
+    form fails the check: floor sums satisfy the identity for every jump
+    multiset.  q*e*c is q times the sum of (e/den)*num over the jumps
+    num/den.  Side conditions about coprimality to the residue
     characteristic are the caller's concern.
     """
     if alpha < 1 or q < 0:
@@ -340,7 +300,7 @@ def order_recursion_check(spec: Torus, alpha: int, q: int) -> bool:
     jumps = torus_jumps(spec)
     e = jumps.denominator_lcm()
     shift = q * sum(e // j.denominator * j.numerator for j in jumps)
-    return _floor_sum(jumps, alpha + q * e) == _floor_sum(jumps, alpha) + shift
+    return order_function(spec, alpha + q * e) == order_function(spec, alpha) + shift
 
 
 def tame_conductor(jumps: JumpMultiset) -> Fraction:
@@ -406,7 +366,12 @@ def _parse_torus_expr(s: str):
                 i += 1
             if i == 0:
                 raise SpecInvariantViolation(f"expected integer after {name!r}")
-            return cls(int(rest[:i])), rest[i:]
+            try:
+                degree = int(rest[:i])
+            except ValueError:  # past sys.get_int_max_str_digits()
+                raise SpecInvariantViolation(
+                    f"degree of {i} digits after {name!r} is too long") from None
+            return cls(degree), rest[i:]
     for name, cls in (("gm", Gm), ("norm1", NormOneQuadratic)):
         if s.startswith(name):
             return cls(), s[len(name):]

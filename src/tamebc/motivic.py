@@ -441,16 +441,14 @@ def jacobian_order(spec: JacobianSpec, alpha: int) -> int:
     return order_function(Res(spec.n), alpha) + _floor_sum(spec.abelian_jumps, alpha)
 
 
-def component_count(n: int, spec: JacobianSpec, alpha_prime: int) -> int:
+def component_count(spec: JacobianSpec, alpha_prime: int) -> int:
     """Torsion order of the component group at a tame divisor level:
     the wild degree times the normalization's count."""
-    if n != spec.n:
-        raise SpecInvariantViolation(f"degree {n} does not match spec degree {spec.n}")
     if alpha_prime not in spec.divisors:
         raise BadDivisor(
             f"{alpha_prime} is not a tame divisor of e = {spec.e}"
         )
-    return n * spec.divisors[alpha_prime].phi_tilde
+    return spec.n * spec.divisors[alpha_prime].phi_tilde
 
 
 def zeta_jacobian(spec: JacobianSpec) -> CycloRational:

@@ -53,7 +53,10 @@ def _tokenize(text):
             j = i
             while j < len(text) and text[j].isascii() and text[j].isdigit():
                 j += 1
-            tokens.append(("int", int(text[i:j])))
+            try:
+                tokens.append(("int", int(text[i:j])))
+            except ValueError:  # past sys.get_int_max_str_digits()
+                raise SpecFileError(f"integer literal of {j - i} digits is too long") from None
             i = j
             continue
         if ch.isascii() and (ch.isalpha() or ch == "_"):

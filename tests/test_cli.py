@@ -1,6 +1,7 @@
 import os
 import re
 import shlex
+import sys
 import time
 from pathlib import Path
 
@@ -238,6 +239,42 @@ class TestExitCodes:
             code, out, err = invoke(capsys, "jumps", "--torus", torus)
             assert (code, out) == (1, "")
             assert err.startswith("SpecInvariantViolation")
+
+
+LIMIT = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+LONG = "1" * (LIMIT + 1)
+
+
+@pytest.mark.skipif(LIMIT == 0, reason="int() has no digit limit here")
+class TestLongLiterals:
+    """A digit run past the interpreter's int() limit is a domain error
+    naming its length, not a traceback."""
+
+    @pytest.mark.parametrize("argv, error", [
+        (("jumps", "--torus", f"res:{LONG}"), "SpecInvariantViolation"),
+        (("d-jumps", "--torus", f"product(gm, resquot:{LONG})", "--d", "5"),
+         "SpecInvariantViolation"),
+        (("pushout", "--check", "membership", "--gluing", "two-points",
+          "--poly", f"{LONG}*t"), "SpecFileError"),
+        (("pushout", "--check", "generators", "--gluing", "wild-point",
+          "--eisenstein", f"t^2 - {LONG}*pi"), "SpecFileError"),
+    ], ids=["torus", "torus-factor", "poly", "eisenstein"])
+    def test_flags(self, capsys, argv, error):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"{error}: ") and f"{len(LONG)} digits" in err
+
+    @pytest.mark.parametrize("text, error", [
+        (JACOBIAN_TEXT.replace("ab_class = 1", f"ab_class = {LONG}"), "SpecFileError"),
+        (f"kind = torus\ntorus = res:{LONG}\n", "SpecFileError"),
+    ], ids=["ab_class", "torus"])
+    def test_spec_files(self, capsys, tmp_path, text, error):
+        path = tmp_path / "long.spec"
+        path.write_text(text)
+        command = "zeta-jacobian" if "jacobian" in text else "jumps"
+        code, out, err = invoke(capsys, command, "--spec", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"{error}: ") and f"{len(LONG)} digits" in err
 
 
 class TestExplicitArguments:

@@ -1,4 +1,7 @@
+import sys
+import types
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -45,9 +48,9 @@ class TestTorusJumps:
         assert torus_jumps(ResQuot(4)) == JumpMultiset([F(1, 4), F(1, 2), F(3, 4)])
 
     def test_dimension_matches_multiplicity(self):
-        for spec in (Gm(), Res(5), ResQuot(3), NormOneQuadratic(),
-                     Product((Res(2), Gm()))):
-            assert torus_jumps(spec).dimension == spec.dimension
+        for spec, dimension in ((Gm(), 1), (Res(5), 5), (ResQuot(3), 2),
+                                (NormOneQuadratic(), 1), (Product((Res(2), Gm())), 3)):
+            assert len(torus_jumps(spec)) == dimension
 
 
 class TestDJumpsClosedForm:
@@ -142,6 +145,45 @@ class TestOrderRecursion:
                     assert order_recursion_check(spec, alpha, q)
 
 
+def jumps_mutant(old, new):
+    """``tamebc.jumps`` with one edit to its source, as a separate module."""
+    import tamebc.jumps as jumps_module
+
+    source = Path(jumps_module.__file__).read_text(encoding="utf-8")
+    assert source.count(old) == 1, old
+    module = types.ModuleType("tamebc._jumps_mutant")
+    module.__package__ = "tamebc"
+    sys.modules[module.__name__] = module  # the dataclasses look their module up
+    try:
+        exec(compile(source.replace(old, new), module.__name__, "exec"), vars(module))
+    finally:
+        del sys.modules[module.__name__]
+    return module
+
+
+SLOPE = "((spec.n - 1) * (d - 1) + gcd(spec.n, d) - 1) // 2"
+
+
+def recursion_failures(module):
+    """(atom, n, alpha, q) for which the module's recursion check fails."""
+    return [(atom, n, alpha, q)
+            for atom in (module.Res, module.ResQuot)
+            for n in range(2, 9) for alpha in range(1, 20) for q in range(4)
+            if not module.order_recursion_check(atom(n), alpha, q)]
+
+
+def test_recursion_check_catches_a_wrong_order_slope():
+    # slope n in place of n - 1 shifts ord(alpha + q*n) by q*n/2 too much
+    failures = recursion_failures(jumps_mutant(SLOPE, SLOPE.replace("(spec.n - 1)", "spec.n")))
+    assert len(failures) == 2 * 7 * 19 * 3
+    assert all(q > 0 for *_, q in failures)
+
+
+def test_unmutated_jumps_copy_passes_the_recursion_check():
+    # control: the failures above come from the edit, not from the copy
+    assert recursion_failures(jumps_mutant(SLOPE, SLOPE)) == []
+
+
 class TestTameConductor:
     def test_res5(self):
         assert tame_conductor(torus_jumps(Res(5))) == 2
@@ -210,6 +252,39 @@ class TestCharacterDecomposition:
             assert character_decomposition(whole) == character_decomposition(
                 toric
             ).union(character_decomposition(abelian))
+
+
+class TestContainers:
+    def test_renderings(self):
+        jumps = JumpMultiset([F(1, 2), 0])
+        assert (repr(jumps), str(jumps)) == ("JumpMultiset([Fraction(0, 1), Fraction(1, 2)])",
+                                             "0, 1/2")
+        dj = DJumps([4, 0, 2], 7)
+        assert (repr(dj), str(dj)) == ("DJumps([0, 2, 4], d=7)", "0, 2, 4")
+        c = CharacterDecomp([9, -1], 7)
+        assert (repr(c), str(c)) == ("CharacterDecomp([2, 6], d=7)", "2, 6 (mod 7)")
+        assert c.exponents == c.entries == (2, 6)
+
+    def test_hash_values(self):
+        assert hash(JumpMultiset([F(1, 3)])) == hash((F(1, 3),))
+        assert hash(DJumps([0, 2], 7)) == hash(((0, 2), 7))
+        assert hash(CharacterDecomp([0, 2], 7)) == hash(((0, 2), 7))
+
+    def test_kinds_never_compare_equal(self):
+        assert DJumps([0, 2], 7) != CharacterDecomp([0, 2], 7)
+        assert CharacterDecomp([0, 2], 7) != DJumps([0, 2], 7)
+        assert DJumps([0], 1) != JumpMultiset([0])
+        assert DJumps([0, 2], 7) != DJumps([0, 2], 8)
+        assert len({DJumps([1], 3), CharacterDecomp([1], 3), DJumps([1], 3)}) == 2
+
+    def test_union_keeps_level_and_kind(self):
+        assert type(CharacterDecomp([1], 3).union(CharacterDecomp([5], 3))) is CharacterDecomp
+        for a, b in ((DJumps([1], 3), DJumps([1], 4)),
+                     (CharacterDecomp([1], 3), CharacterDecomp([1], 4)),
+                     (DJumps([1], 3), CharacterDecomp([1], 3)),
+                     (CharacterDecomp([1], 3), DJumps([1], 3))):
+            with pytest.raises(SpecInvariantViolation):
+                a.union(b)
 
 
 class TestValidation:

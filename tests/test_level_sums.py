@@ -1,7 +1,7 @@
 """Differential tests of the level sums built from plain integers.
 
 ``order_function`` sums floor(d*j) over the jumps directly,
-``order_recursion_check`` compares integer floor sums, the Jacobian zeta
+``order_recursion_check`` compares closed-form orders, the Jacobian zeta
 numerator comes from a finite difference, and ``reduce`` cancels the
 denominator factors in one sorted pass.  The references below are the
 constructions they replace: the graded d-jumps, the power-sum polynomials
@@ -226,7 +226,6 @@ def test_product_jumps_match_the_union_fold():
         for factor in spec.factors:
             folded = folded.union(torus_jumps(factor))
         assert torus_jumps(spec) == folded
-        assert len(torus_jumps(spec)) == spec.dimension
 
 
 def test_order_recursion_on_random_tori():

@@ -225,7 +225,7 @@ class TestJacobianSpec:
 
     def test_component_count(self):
         spec = simple_spec()
-        assert component_count(2, spec, 1) == 2
+        assert component_count(spec, 1) == 2
 
     def test_component_count_scales_phi(self):
         spec = JacobianSpec(
@@ -233,19 +233,14 @@ class TestJacobianSpec:
             [F(0), F(1, 2)],
             {1: (0, 0, 1, 1), 2: (0, 0, 4, 1)},
         )
-        assert component_count(3, spec, 2) == 12
+        assert component_count(spec, 2) == 12
 
     def test_component_count_bad_divisor(self):
         from tamebc import BadDivisor
 
         spec = simple_spec()
         with pytest.raises(BadDivisor):
-            component_count(2, spec, 3)
-
-    def test_component_count_degree_mismatch(self):
-        spec = simple_spec()
-        with pytest.raises(SpecInvariantViolation):
-            component_count(4, spec, 1)
+            component_count(spec, 3)
 
 
 class TestZetaJacobian:
