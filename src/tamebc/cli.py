@@ -66,7 +66,7 @@ from .jumps import Torus
 from .pushout import GluingSpec
 
 
-# the largest default order of oracle-cokernel; N = 20,087 takes about 3 s and 100 MB
+# the largest default order of oracle-cokernel; N = 20,087 takes 0.4-0.7 s and 20 MB
 ORACLE_PRECISION_CAP = 8192
 
 
@@ -76,6 +76,8 @@ def _env_int(name: str, fallback: int | None) -> int | None:
         return fallback
     try:
         return specfile.ascii_int(raw)
+    except specfile.TooManyDigits as exc:
+        raise SpecFileError(f"{name}: {exc}") from None
     except ValueError:
         raise SpecFileError(f"{name} must be an integer, got {raw!r}") from None
 
@@ -113,24 +115,19 @@ def _precision_arg(args) -> int:
     return args.precision
 
 
-def _int_arg(text: str) -> int:
+def _int_arg(text: str, malformed: str = "invalid int value: {!r}") -> int:
     """An integer option: ASCII ``-?[0-9]+``, as in spec files."""
     try:
         return specfile.ascii_int(text)
+    except specfile.TooManyDigits as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise argparse.ArgumentTypeError(malformed.format(text)) from None
 
 
 def _target_arg(text: str):
     """The base-change target: "k" or a tame degree."""
-    if text == "k":
-        return text
-    try:
-        return specfile.ascii_int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected k or a tame degree, got {text!r}"
-        ) from None
+    return text if text == "k" else _int_arg(text, "expected k or a tame degree, got {!r}")
 
 
 def _gluing_arg(args) -> "GluingSpec":

@@ -33,19 +33,19 @@ Precision policy: the truncation order N is fixed per configuration
 (default 64) and operations raise ``PrecisionExhausted`` instead of
 silently returning undetermined valuations.
 
-Representation: a ``TruncSeries`` holds its N digits in [0, p) as a
-tuple, as a packed integer, or both.  Slot i of the packed integer
-(Kronecker substitution, Harvey, arXiv:0712.4046) is congruent to digit i
-mod p and at most the series' top.  A slot holds a product plus one
-offset, 2*N*(p-1)^2 + 2*p, in whole bytes; the cap is its largest value.
-A product multiplies two reduced packs (every slot < p) and keeps N
-slots: its top is N*(p-1)^2.  A sum adds packs and tops.  A difference
-a - b, or -b, adds m*(1, ..., 1), where m is the least multiple of p at
-or above b's top, so that no slot borrows.  An operation whose top would
-pass the cap first reduces its operands: one unpack mod p, one pack.
-Digits are read once, when needed: ``coeffs``, the valuation, the zero
-and unit tests, ``==``, ``hash``, ``repr``, the shifts and ``embed``.
-Unit division multiplies by an inverse from Newton iteration
+Representation: a ``TruncSeries`` is one packed integer of N slots
+(Kronecker substitution, Harvey, arXiv:0712.4046).  Slot i is congruent
+to digit i mod p and at most the series' top.  A slot holds a product
+plus one offset, 2*N*(p-1)^2 + 2*p, in whole bytes; the cap is its
+largest value.  A product multiplies two reduced packs (every slot < p)
+and keeps N slots: its top is N*(p-1)^2.  A sum adds packs and tops.  A
+difference a - b, or -b, adds m*(1, ..., 1), where m is the least
+multiple of p at or above b's top, so that no slot borrows.  An
+operation whose top would pass the cap first reduces its operands: one
+unpack mod p, one pack.  The valuation (the slot of the lowest set bit),
+the zero and unit tests, ``shift_down``, ``==`` and ``hash`` reduce once
+and then read the integer; only ``coeffs``, ``repr`` and ``embed`` read
+digits.  Unit division multiplies by an inverse from Newton iteration
 g <- g*(2 - u*g) (von zur Gathen and Gerhard, *Modern Computer Algebra*,
 section 9.1).
 """
@@ -130,6 +130,7 @@ class DVRConfig:
     p: int
     precision: int = DEFAULT_PRECISION
     _slots: tuple = field(init=False, repr=False, compare=False)
+    _bits: int = field(init=False, repr=False, compare=False)  # bits per slot
     _mask: int = field(init=False, repr=False, compare=False)  # the low N slots
     _ones: int = field(init=False, repr=False, compare=False)  # 1 in each of them
     _cap: int = field(init=False, repr=False, compare=False)  # the largest slot value
@@ -142,6 +143,7 @@ class DVRConfig:
         slots = _kernel_slots(self.p, self.precision)
         bits = 8 * slots[1]
         object.__setattr__(self, "_slots", slots)
+        object.__setattr__(self, "_bits", bits)
         object.__setattr__(self, "_mask", (1 << (bits * self.precision)) - 1)
         object.__setattr__(self, "_ones", _pack([1] * self.precision, slots))
         object.__setattr__(self, "_cap", (1 << bits) - 1)
@@ -173,10 +175,9 @@ def _inverse(u: "TruncSeries") -> int:
     up to j, so neither u nor g needs truncating before a multiply.
     """
     config = u.config
-    p, n, slots = config.p, config.precision, config._slots
-    bits = 8 * slots[1]
+    p, n, slots, bits = config.p, config.precision, config._slots, config._bits
     packed_u = u._pack(True)
-    g = [pow(u.coeffs[0], -1, p)]
+    g = [pow(packed_u & config._cap, -1, p)]
     k = 1
     while k < n:
         m = min(2 * k, n)
@@ -189,15 +190,16 @@ def _inverse(u: "TruncSeries") -> int:
 
 
 class TruncSeries:
-    """Element of F_p[[pi]] / pi^N, held as digits, as a packed integer or both.
+    """Element of F_p[[pi]] / pi^N, held as one packed integer.
 
-    Invariant: ``coeffs`` is a tuple of exactly N ``int``s in [0, p).  The
-    constructor truncates, pads and reduces any iterable of ``int``s into
-    that form, and raises ``SpecInvariantViolation`` on other coefficients.
-    Ring operations keep their results packed (see the module docstring).
+    Invariant: ``_packed`` has N slots, each congruent to its digit mod p
+    and at most ``_top`` (see the module docstring).  The constructor
+    truncates, pads and reduces any iterable of ``int``s and packs them;
+    it raises ``SpecInvariantViolation`` on other coefficients.
+    ``coeffs`` is the tuple of the N digits in [0, p).
     """
 
-    __slots__ = ("_coeffs", "_packed", "_top", "config")
+    __slots__ = ("_packed", "_top", "config")
 
     def __init__(self, coeffs, config: DVRConfig):
         p = config.p
@@ -206,8 +208,7 @@ class TruncSeries:
             if not isinstance(c, int):
                 raise SpecInvariantViolation(f"coefficient {c!r} is not an integer")
             data.append(c % p)
-        self._coeffs = tuple(data) + (0,) * (config.precision - len(data))
-        self._packed = None
+        self._packed = _pack(data, config._slots)
         self._top = p - 1
         self.config = config
 
@@ -215,11 +216,11 @@ class TruncSeries:
 
     @classmethod
     def zero(cls, config: DVRConfig) -> "TruncSeries":
-        return _series((0,) * config.precision, config)
+        return _packed_series(0, config.p - 1, config)
 
     @classmethod
     def one(cls, config: DVRConfig) -> "TruncSeries":
-        return _series((1,) + (0,) * (config.precision - 1), config)
+        return _packed_series(1, config.p - 1, config)
 
     @classmethod
     def from_int(cls, value: int, config: DVRConfig) -> "TruncSeries":
@@ -233,21 +234,19 @@ class TruncSeries:
             raise PrecisionExhausted(
                 f"pi^{power} is indistinguishable from 0 at precision {config.precision}"
             )
-        return cls((0,) * power + (1,), config)
+        return _packed_series(1 << (config._bits * power), config.p - 1, config)
 
     # -- representation ----------------------------------------------------
 
     @property
     def coeffs(self) -> tuple:
-        """The N coefficients in [0, p), unpacked once and then kept."""
-        if self._coeffs is None:
-            cfg = self.config
-            self._coeffs = tuple(_unpack(self._packed, cfg.precision, cfg._slots, cfg.p))
-        return self._coeffs
+        """The N coefficients in [0, p), unpacked on every call."""
+        cfg = self.config
+        return tuple(_unpack(self._packed, cfg.precision, cfg._slots, cfg.p))
 
     def _pack(self, reduced: bool = False) -> int:
         """The packed value; with ``reduced``, one whose every slot is < p."""
-        if self._packed is None or (reduced and self._top >= self.config.p):
+        if reduced and self._top >= self.config.p:
             self._packed = _pack(self.coeffs, self.config._slots)
             self._top = self.config.p - 1
         return self._packed
@@ -271,16 +270,16 @@ class TruncSeries:
 
     @property
     def valuation(self) -> int:
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        return self.config.precision
+        x = self._pack(True)
+        if not x:
+            return self.config.precision
+        return ((x & -x).bit_length() - 1) // self.config._bits
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not self._pack(True)
 
     def is_unit(self) -> bool:
-        return bool(self.coeffs[0])
+        return bool(self._pack(True) & self.config._cap)
 
     def _check_config(self, other: "TruncSeries"):
         if self.config is not other.config and self.config != other.config:
@@ -319,7 +318,9 @@ class TruncSeries:
         """Multiply by pi^k."""
         if k < 0:
             raise SpecInvariantViolation("shift_up needs k >= 0")
-        return _series(((0,) * k + self.coeffs)[: self.config.precision], self.config)
+        cfg = self.config
+        packed = self._packed << (cfg._bits * min(k, cfg.precision)) & cfg._mask
+        return _packed_series(packed, self._top, cfg)
 
     def shift_down(self, k: int) -> "TruncSeries":
         """Exact division by pi^k; the low k coefficients must vanish.
@@ -330,11 +331,13 @@ class TruncSeries:
         """
         if k < 0:
             raise SpecInvariantViolation("shift_down needs k >= 0")
-        if any(self.coeffs[:k]):
+        cfg = self.config
+        x, bits = self._pack(True), cfg._bits * min(k, cfg.precision)
+        if x & ((1 << bits) - 1):
             raise SpecInvariantViolation(
                 f"series with valuation {self.valuation} is not divisible by pi^{k}"
             )
-        return _series((self.coeffs[k:] + (0,) * k)[: self.config.precision], self.config)
+        return _packed_series(x >> bits, cfg.p - 1, cfg)
 
     def exact_divide(self, other: "TruncSeries") -> "TruncSeries":
         """Divide by pi^v * unit where v is the divisor's valuation."""
@@ -349,15 +352,13 @@ class TruncSeries:
         return (
             isinstance(other, TruncSeries)
             and self.config == other.config
-            and self.coeffs == other.coeffs
+            and self._pack(True) == other._pack(True)
         )
 
     def __hash__(self):
-        return hash((self.coeffs, self.config))
+        return hash((self._pack(True), self.config))
 
     def __repr__(self):
-        if self.is_zero():
-            return "0"
         parts = []
         for i, c in enumerate(self.coeffs):
             if not c:
@@ -368,23 +369,13 @@ class TruncSeries:
                 parts.append("pi" if c == 1 else f"{c}*pi")
             else:
                 parts.append(f"pi^{i}" if c == 1 else f"{c}*pi^{i}")
-        return " + ".join(parts)
+        return " + ".join(parts) or "0"
 
 
 def _packed_series(packed, top: int, config: DVRConfig) -> TruncSeries:
     """Trusted constructor: every slot of ``packed`` is at most ``top`` <= cap."""
     s = object.__new__(TruncSeries)
-    s._coeffs = None
-    s._packed = packed
-    s._top = top
-    s.config = config
-    return s
-
-
-def _series(coeffs: tuple, config: DVRConfig) -> TruncSeries:
-    """Trusted constructor: ``coeffs`` already satisfies the invariant."""
-    s = _packed_series(None, config.p - 1, config)
-    s._coeffs = coeffs
+    s._packed, s._top, s.config = packed, top, config
     return s
 
 
@@ -424,7 +415,8 @@ class TameContext:
         n = self.base.precision
         out = [0] * n
         out[:: self.d] = s.coeffs[: (n - 1) // self.d + 1]
-        return _series(tuple(out), self.extension_config)
+        ext = self.extension_config
+        return _packed_series(_pack(out, ext._slots), ext.p - 1, ext)
 
 
 class EisensteinPoly:
@@ -547,32 +539,30 @@ def column_echelon(columns):
     so that each pivot row is zero in all later basis columns, which
     makes sequential back-substitution exact, and so that the pivot
     valuations never decrease.  Columns that vanish to precision are
-    dropped.  Each column keeps a valuation table that a step updates
-    where it changes an entry; a pivot row is marked N + 1 in it.
+    dropped.  Clearing a row leaves exactly 0 in it (q * pivot equals the
+    entry mod pi^N), so a pivot row is never chosen again.
     """
     if not columns:
         return []
     config = columns[0][0].config
-    N = config.precision
-    remaining = [(list(c), [e.valuation for e in c]) for c in columns]
+    remaining = [list(c) for c in columns]
     basis = []
     while remaining:
-        best, ci = min((min(vals), ci) for ci, (_, vals) in enumerate(remaining))
-        if best >= N:
+        best, ci, r = min(
+            (e.valuation, ci, k) for ci, col in enumerate(remaining) for k, e in enumerate(col)
+        )
+        if best >= config.precision:
             break
-        pivot_col, pivot_vals = remaining.pop(ci)
-        r = pivot_vals.index(best)
-        rows = [k for k, v in enumerate(pivot_vals) if v < N]
+        pivot_col = remaining.pop(ci)
+        rows = [k for k, e in enumerate(pivot_col) if not e.is_zero()]
         inverse = None
-        for col, vals in remaining:
-            if vals[r] < N:
+        for col in remaining:
+            if not col[r].is_zero():
                 if inverse is None:
                     inverse = TruncSeries.one(config).unit_divide(pivot_col[r].shift_down(best))
                 q = col[r].shift_down(best) * inverse
                 for k in rows:
                     col[k] = col[k] - q * pivot_col[k]
-                    vals[k] = col[k].valuation
-            vals[r] = N + 1
         basis.append((pivot_col, r))
     return basis
 

@@ -273,16 +273,25 @@ _INT = re.compile(r"-?[0-9]+")
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
+class TooManyDigits(ValueError):
+    """An ASCII integer past ``int()``'s digit limit; names the count, not the value."""
+
+
 def ascii_int(text: str) -> int:
     """``int(text)`` for ``-?[0-9]+`` only: no other digits, ``_``, ``+`` or blanks."""
     if _INT.fullmatch(text) is None:
         raise ValueError(f"not an integer: {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise TooManyDigits(f"integer of {len(text.lstrip('-'))} digits is too long") from None
 
 
 def _parse_int(text, key):
     try:
         return ascii_int(text)
+    except TooManyDigits as exc:
+        raise SpecFileError(f"{key}: {exc}") from None
     except ValueError:
         raise SpecFileError(f"{key}: expected an integer, got {text!r}") from None
 
@@ -297,7 +306,9 @@ def _parse_rational_list(text, key):
         try:
             if _RATIONAL.fullmatch(part) is None:
                 raise ValueError(part)
-            out.append(Fraction(part))
+            out.append(Fraction(*map(ascii_int, part.split("/"))))
+        except TooManyDigits as exc:
+            raise SpecFileError(f"{key}: {exc}") from None
         except (ValueError, ZeroDivisionError):
             raise SpecFileError(f"{key}: bad rational {part!r}") from None
     return out
@@ -311,6 +322,8 @@ def _parse_int_matrix(text, key):
             raise SpecFileError(f"{key}: empty matrix row")
         try:
             rows.append([ascii_int(e) for e in entries])
+        except TooManyDigits as exc:
+            raise SpecFileError(f"{key}: {exc}") from None
         except ValueError:
             raise SpecFileError(f"{key}: bad matrix entry in {chunk!r}") from None
     if any(len(r) != len(rows[0]) for r in rows):

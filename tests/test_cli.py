@@ -276,6 +276,46 @@ class TestLongLiterals:
         assert (code, out) == (1, "")
         assert err.startswith(f"{error}: ") and f"{len(LONG)} digits" in err
 
+    # an integer past the limit is named by its length, not echoed
+    @pytest.mark.parametrize("command, old, new", [
+        ("zeta-jacobian", "n = 2", f"n = {LONG}"),
+        ("zeta-jacobian", "abelian_jumps = 0", f"abelian_jumps = {LONG}"),
+        ("isogeny", "matrix = 1", f"matrix = {LONG}"),
+    ], ids=["spec-int", "spec-rational", "spec-matrix"])
+    def test_spec_integer_keys(self, capsys, tmp_path, command, old, new):
+        text = JACOBIAN_TEXT if command == "zeta-jacobian" else render_text(
+            klein_four_example_map())
+        assert old in text
+        path = tmp_path / "long.spec"
+        path.write_text(text.replace(old, new))
+        code, out, err = invoke(capsys, command, "--spec", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("SpecFileError: ") and f"{len(LONG)} digits" in err
+        assert len(err.encode()) < 300
+
+    def test_environment_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("TAMEBC_PRECISION", LONG)
+        code, out, err = invoke(
+            capsys, "pushout", "--check", "tor-defect", "--gluing", "two-points",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("SpecFileError: TAMEBC_PRECISION") and f"{len(LONG)} digits" in err
+        assert len(err.encode()) < 300
+
+    def test_integer_option(self, capsys):
+        code, out, err = invoke(capsys, "order", "--torus", "res:3", "--d", LONG)
+        assert (code, out) == (2, "")
+        assert "--d" in err and f"{len(LONG)} digits" in err
+        assert len(err.encode()) < 300
+
+    def test_target_option(self, capsys):
+        code, out, err = invoke(capsys, "pushout", "--check", "base-change",
+                                "--gluing", "two-points", "--target", LONG)
+        assert (code, out) == (2, "")
+        # argparse prints the usage, then one line naming the length
+        assert err.splitlines()[-1].endswith(
+            f"--target: integer of {len(LONG)} digits is too long")
+
 
 class TestExplicitArguments:
     def test_oracle_precision_zero_is_rejected(self, capsys):

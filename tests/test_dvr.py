@@ -320,10 +320,19 @@ def chain(ring, cfg, rng, steps, coverage):
     return pool
 
 
+def packed_reads(ring, series):
+    """(valuation, is_zero, is_unit) of ``series``, each read on a fresh
+    copy of its pack and top, so that every read reduces for itself and
+    ``series`` is left as it was."""
+    copy = lambda: ring._packed_series(series._packed, series._top, series.config)
+    return copy().valuation, copy().is_zero(), copy().is_unit()
+
+
 def chain_sweep(ring, seed, steps):
     """(mismatches, coverage) of one chain per prime and precision in
-    ``ring`` (a module with ``DVRConfig`` and ``TruncSeries``) against
-    digit lists.  Results are compared only at the end of a chain: by
+    ``ring`` (a module with ``DVRConfig``, ``TruncSeries`` and
+    ``_packed_series``) against digit lists.  Results are compared only
+    at the end of a chain: their valuation, zero and unit tests, then
     ``==`` and ``hash`` against the public constructor's series, then
     digit by digit."""
     rng = random.Random(seed)
@@ -335,7 +344,10 @@ def chain_sweep(ring, seed, steps):
             try:
                 for out, want in chain(ring, cfg, rng, steps, coverage):
                     plain = ring.TruncSeries(want, cfg)
-                    if not (out == plain and hash(out) == hash(plain)
+                    reads = (next((i for i, a in enumerate(want) if a), n),
+                             not any(want), bool(want[0]))
+                    if not (packed_reads(ring, out) == reads
+                            and out == plain and hash(out) == hash(plain)
                             and out.coeffs == tuple(want)):
                         mismatches.append((p, n, want))
             except DomainError as exc:  # a wrong digit can make a unit a non-unit
@@ -370,6 +382,9 @@ RING_MUTANTS = {
     "sub-keeps-top": ("b._pack(), a._top + m, cfg)", "b._pack(), a._top, cfg)"),
     "mask-one-slot-short": ("(1 << (bits * self.precision)) - 1",
                             "(1 << (bits * (self.precision - 1))) - 1"),
+    "valuation-unreduced": ("x = self._pack(True)", "x = self._packed"),
+    "is-unit-unreduced": ("bool(self._pack(True) & self.config._cap)",
+                          "bool(self._packed & self.config._cap)"),
 }
 
 
@@ -382,6 +397,14 @@ def test_unmutated_ring_copy_passes():
     # control: the mismatches above come from the edits, not from the copy
     same = RING_MUTANTS["sub-keeps-top"][0]
     assert chain_sweep(ring_mutant(same, same), 5, 40)[0] == []
+
+
+def test_byte_slot_ring_passes():
+    # the big-endian configuration: every slot goes through int.to_bytes
+    old = '{array(c).itemsize: c for c in "QIH"} if sys.byteorder == "little" else {}'
+    ring = ring_mutant(old, "{}")
+    assert ring._SLOT_CODES == {}
+    assert chain_sweep(ring, 5, 40)[0] == []
 
 
 class TestDVRConfig:

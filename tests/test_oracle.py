@@ -252,6 +252,15 @@ def test_oracle_precision_is_the_least_that_answers():
     assert [oracle_precision(0, 1), oracle_precision(3, -7), oracle_precision(3, 0)] == [64] * 3
 
 
+def test_large_level_at_its_default_order():
+    # n = 23, d = 1000: N = b*(n-1) + 1 = 20,087, past the CLI's default cap
+    n, d = 23, 1000
+    cfg = DVRConfig(3, oracle_precision(n, d))
+    assert cfg.precision == 20087
+    jumps = cokernel_d_jumps_oracle(EisensteinPoly.pure(n, cfg), TameContext(d, cfg))
+    assert list(jumps) == [d * v // n for v in range(n)]
+
+
 # ---------------------------------------------------------------------------
 # mutants of the construction that the checks above must catch
 # ---------------------------------------------------------------------------
