@@ -66,7 +66,7 @@ from .jumps import Torus
 from .pushout import GluingSpec
 
 
-# the largest default order of oracle-cokernel; N = 20,087 takes 0.4-0.7 s and 20 MB
+# the largest default order of oracle-cokernel; N = 20,087 takes 0.1-0.2 s and 24 MB
 ORACLE_PRECISION_CAP = 8192
 
 

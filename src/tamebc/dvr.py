@@ -41,13 +41,16 @@ largest value.  A product multiplies two reduced packs (every slot < p)
 and keeps N slots: its top is N*(p-1)^2.  A sum adds packs and tops.  A
 difference a - b, or -b, adds m*(1, ..., 1), where m is the least
 multiple of p at or above b's top, so that no slot borrows.  An
-operation whose top would pass the cap first reduces its operands: one
-unpack mod p, one pack.  The valuation (the slot of the lowest set bit),
-the zero and unit tests, ``shift_down``, ``==`` and ``hash`` reduce once
-and then read the integer; only ``coeffs``, ``repr`` and ``embed`` read
-digits.  Unit division multiplies by an inverse from Newton iteration
-g <- g*(2 - u*g) (von zur Gathen and Gerhard, *Modern Computer Algebra*,
-section 9.1).
+operation whose top would pass the cap first reduces its operands.  A
+reduction never leaves the integer: it takes every slot mod p at once by
+Barrett's division by a precomputed reciprocal (Barrett, CRYPTO '86),
+with a few big-integer operations in place of a pass over N digits.
+The valuation (the slot of the lowest set bit), the zero and unit tests,
+``shift_down``, ``==`` and ``hash`` reduce once and then read the
+integer; only ``coeffs``, ``repr`` and ``embed`` unpack digits.  Unit
+division multiplies by an inverse from Newton iteration g <- g*(2 - u*g)
+(von zur Gathen and Gerhard, *Modern Computer Algebra*, section 9.1),
+which also stays packed.
 """
 
 from __future__ import annotations
@@ -134,6 +137,8 @@ class DVRConfig:
     _mask: int = field(init=False, repr=False, compare=False)  # the low N slots
     _ones: int = field(init=False, repr=False, compare=False)  # 1 in each of them
     _cap: int = field(init=False, repr=False, compare=False)  # the largest slot value
+    # stride s -> (1 at the start of every s-th slot, all bits of those slots)
+    _fields: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not _is_prime(self.p):
@@ -145,8 +150,16 @@ class DVRConfig:
         object.__setattr__(self, "_slots", slots)
         object.__setattr__(self, "_bits", bits)
         object.__setattr__(self, "_mask", (1 << (bits * self.precision)) - 1)
-        object.__setattr__(self, "_ones", _pack([1] * self.precision, slots))
+        object.__setattr__(self, "_ones", _field_starts(bits, self.precision, 1))
         object.__setattr__(self, "_cap", (1 << bits) - 1)
+        starts = {s: _field_starts(bits, self.precision, s) for s in (2, 3)}
+        object.__setattr__(self, "_fields", {s: (f, f * self._cap) for s, f in starts.items()})
+
+
+def _field_starts(bits: int, n: int, stride: int) -> int:
+    """1 in slot 0 and in every ``stride``-th slot after it, of n slots."""
+    width = bits * stride
+    return ((1 << (width * -(-n // stride))) - 1) // ((1 << width) - 1)
 
 
 def _pack(coeffs, slots) -> int:
@@ -157,13 +170,32 @@ def _pack(coeffs, slots) -> int:
     return int.from_bytes(b"".join([c.to_bytes(size, "little") for c in coeffs]), "little")
 
 
-def _unpack(value: int, count: int, slots, p: int) -> list:
-    """The low ``count`` slots of ``value``, each reduced mod p."""
-    code, size = slots
-    raw = (value & ((1 << (8 * size * count)) - 1)).to_bytes(size * count, "little")
-    if code:
-        return [c % p for c in array(code, raw)]
-    return [int.from_bytes(raw[i:i + size], "little") % p for i in range(0, len(raw), size)]
+def _reduce(x: int, top: int, config: DVRConfig) -> int:
+    """``x`` with every slot, each at most ``top`` <= cap, reduced mod p.
+
+    Barrett's division (CRYPTO '86) on every slot at once: with
+    k = top.bit_length() + p.bit_length() and m = ceil(2^k / p),
+    (s*m) >> k is s // p for every s <= top.  The slots are split into
+    ``stride`` interleaved parts, each slot alone in a field of
+    stride*bits bits that holds s*m, so no product carries into the next
+    field; the quotient mask keeps the stride*bits - k bits of each field
+    that lie below the next one.
+    """
+    p = config.p
+    if top < p:
+        return x
+    bits = config._bits
+    tb = top.bit_length()
+    k = tb + p.bit_length()
+    m = -(-(1 << k) // p)
+    stride = 2 if tb + k <= 2 * bits else 3
+    starts, fields = config._fields[stride]
+    quotients = starts * ((1 << (stride * bits - k)) - 1)
+    out = 0
+    for i in range(stride):
+        xs = (x >> (i * bits)) & fields
+        out |= (xs - p * ((xs * m >> k) & quotients)) << (i * bits)
+    return out
 
 
 def _inverse(u: "TruncSeries") -> int:
@@ -172,21 +204,27 @@ def _inverse(u: "TruncSeries") -> int:
     If g = 1/u mod pi^k, then u*g = 1 + pi^k*h mod pi^m (m = 2k) and the
     step g <- g*(2 - u*g) appends the m - k coefficients of -g*h mod
     pi^(m-k) to g.  Slot j of a packed product only involves coefficients
-    up to j, so neither u nor g needs truncating before a multiply.
+    up to j, so neither u nor g needs truncating before a multiply.  Every
+    slot of h and of g*h sums at most k products of digits, so both are
+    reduced by ``_reduce`` with top k*(p-1)^2; the new digits are the
+    reduction of M - g*h, M the least multiple of p at or above that top,
+    placed above slot k.  g, h and g*h never leave the integer.
     """
     config = u.config
-    p, n, slots, bits = config.p, config.precision, config._slots, config._bits
+    p, n, bits = config.p, config.precision, config._bits
     packed_u = u._pack(True)
-    g = [pow(packed_u & config._cap, -1, p)]
+    g = pow(packed_u & config._cap, -1, p)
     k = 1
     while k < n:
         m = min(2 * k, n)
-        packed_g = _pack(g, slots)
-        h = _unpack((packed_u * packed_g) >> (bits * k), m - k, slots, p)
-        gh = _unpack(packed_g * _pack(h, slots), m - k, slots, p)
-        g += [-c % p for c in gh]
+        low = (1 << (bits * (m - k))) - 1
+        top = k * (p - 1) ** 2
+        h = _reduce((packed_u * g) >> (bits * k) & low, top, config)
+        offset = -(-top // p) * p
+        gh = g * h & low
+        g |= _reduce((offset * config._ones & low) - gh, offset, config) << (bits * k)
         k = m
-    return _pack(g, slots)
+    return g
 
 
 class TruncSeries:
@@ -241,13 +279,16 @@ class TruncSeries:
     @property
     def coeffs(self) -> tuple:
         """The N coefficients in [0, p), unpacked on every call."""
-        cfg = self.config
-        return tuple(_unpack(self._packed, cfg.precision, cfg._slots, cfg.p))
+        code, size = self.config._slots
+        raw = self._pack(True).to_bytes(size * self.config.precision, "little")
+        if code:
+            return tuple(array(code, raw))
+        return tuple(int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size))
 
     def _pack(self, reduced: bool = False) -> int:
         """The packed value; with ``reduced``, one whose every slot is < p."""
         if reduced and self._top >= self.config.p:
-            self._packed = _pack(self.coeffs, self.config._slots)
+            self._packed = _reduce(self._packed, self._top, self.config)
             self._top = self.config.p - 1
         return self._packed
 

@@ -385,7 +385,12 @@ RING_MUTANTS = {
     "valuation-unreduced": ("x = self._pack(True)", "x = self._packed"),
     "is-unit-unreduced": ("bool(self._pack(True) & self.config._cap)",
                           "bool(self._packed & self.config._cap)"),
+    "reduce-stride-always-2": ("stride = 2 if tb + k <= 2 * bits else 3", "stride = 2"),
+    "reduce-k-one-short": ("k = tb + p.bit_length()", "k = tb + p.bit_length() - 1"),
+    "reduce-slot-wide-quotient-mask": ("starts * ((1 << (stride * bits - k)) - 1)",
+                                       "starts * config._cap"),
 }
+REDUCE_MUTANTS = sorted(name for name in RING_MUTANTS if name.startswith("reduce-"))
 
 
 @pytest.mark.parametrize("mutant", sorted(RING_MUTANTS))
@@ -405,6 +410,63 @@ def test_byte_slot_ring_passes():
     ring = ring_mutant(old, "{}")
     assert ring._SLOT_CODES == {}
     assert chain_sweep(ring, 5, 40)[0] == []
+
+
+# ---------------------------------------------------------------------------
+# differential sweep: slot-wise reduction of a pack against c % p
+# ---------------------------------------------------------------------------
+
+REDUCE_PRIMES = (2, 3, 5, 7, 101, 65537)
+REDUCE_PRECISIONS = (2, 3, 64, 256, 1024, 4099)
+
+
+def reduce_sweep(ring, seed):
+    """(p, N, top, case) of every pack that ``ring._reduce`` reduces
+    differently from ``c % p`` on each slot.  Tops run from p to the cap,
+    with the largest top whose bit length b keeps 2*b + bits(p) within
+    two slots (the widest two-part split); the slots are random up to the
+    top with one slot at the top, or all at the top.  Packs and the
+    expected result are built with int.to_bytes, independently of the
+    ring's own packing."""
+    rng = random.Random(seed)
+    mismatches = []
+    for p in REDUCE_PRIMES:
+        for n in REDUCE_PRECISIONS:
+            cfg = ring.DVRConfig(p, n)
+            size = cfg._bits // 8
+            pack = lambda c: int.from_bytes(
+                b"".join(x.to_bytes(size, "little") for x in c), "little")
+            widest = (1 << ((2 * cfg._bits - p.bit_length()) // 2)) - 1
+            tops = {p, 2 * p - 1, n * (p - 1) ** 2, widest, cfg._cap - 1, cfg._cap}
+            for top in sorted(tops):
+                spread = [rng.randint(0, top) for _ in range(n)]
+                spread[rng.randrange(n)] = top
+                for case, slots in (("random", spread), ("all-top", [top] * n)):
+                    if ring._reduce(pack(slots), top, cfg) != pack([c % p for c in slots]):
+                        mismatches.append((p, n, top, case))
+    return mismatches
+
+
+class TestReduce:
+    def test_matches_slotwise_mod(self):
+        assert reduce_sweep(dvr, 11) == []
+
+    def test_byte_slot_ring_matches_slotwise_mod(self):
+        old = '{array(c).itemsize: c for c in "QIH"} if sys.byteorder == "little" else {}'
+        assert reduce_sweep(ring_mutant(old, "{}"), 11) == []
+
+    @pytest.mark.parametrize("mutant", REDUCE_MUTANTS)
+    def test_catches_mutant(self, mutant):
+        assert reduce_sweep(ring_mutant(*RING_MUTANTS[mutant]), 11)
+
+    @pytest.mark.parametrize("p", (2, 3, 65537))
+    def test_unit_divide_round_trip_at_large_precision(self, p):
+        # 64-bit slots at p = 65537, and Newton steps past k = 1024
+        rng = random.Random(p)
+        cfg = DVRConfig(p, 20087)
+        x = TruncSeries([rng.randrange(p) for _ in range(cfg.precision)], cfg)
+        u = TruncSeries([rng.randrange(1, p) for _ in range(cfg.precision)], cfg)
+        assert x.unit_divide(u) * u == x
 
 
 class TestDVRConfig:
