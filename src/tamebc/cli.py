@@ -227,6 +227,7 @@ def _cmd_oracle(args, out):
 
 def _cmd_isogeny(args, out):
     if args.demo:
+        _exclusive(args, "demo", ["spec"])
         left, right, differ = jumps_non_invariance_demo()
         print(f"left: {left}", file=out)
         print(f"right: {right}", file=out)

@@ -166,10 +166,6 @@ class WildPointGluing(GluingSpec):
             raise DegreeBound("Eisenstein degree exceeds the slice bound")
 
 
-def _as_poly(f, algebra: PolyAlgebra):
-    return algebra.polynomial(list(f))
-
-
 def _two_points(spec: GluingSpec) -> bool:
     """Whether spec is a two-points gluing, against a wild-point one."""
     if isinstance(spec, TwoPointsGluing):
@@ -185,7 +181,7 @@ def fiber_membership(f, spec: GluingSpec) -> bool:
     two-points: the values at 1 and 0 agree modulo pi.  wild-point: the
     remainder of f mod P is a constant.
     """
-    f = _as_poly(f, spec.algebra)
+    f = spec.algebra.polynomial(f)
     if _two_points(spec):
         total = TruncSeries.zero(spec.algebra.config)
         for c in f[1:]:
@@ -232,7 +228,7 @@ def nilpotent_witness(spec: TwoPointsGluing, f=None) -> WitnessReport:
         pi = TruncSeries.uniformizer(cfg)
         f = algebra.polynomial([-pi, pi])
     else:
-        f = _as_poly(f, algebra)
+        f = algebra.polynomial(f)
     member = fiber_membership(f, spec)
     if not member:
         return WitnessReport(False, None, None)

@@ -34,6 +34,10 @@ from .pushout import (
 __all__ = ["parse_text", "render_text", "parse_file", "parse_motivic_expr",
            "parse_okt_expr"]
 
+# term pairs that the products of one Z[L, atoms] value may take in all:
+# (L + 1)^1000 takes 415,666 and (L + A + B + 1)^30 takes 701,706
+MAX_TERM_PAIRS = 1 << 19
+
 
 # ---------------------------------------------------------------------------
 # generic ring-expression parser
@@ -156,7 +160,17 @@ class _ExprParser:
 
 def parse_motivic_expr(text: str) -> MotivicPoly:
     """Parse an element of Z[L, atoms]; any identifier other than L
-    becomes an opaque atom."""
+    becomes an opaque atom.  The products may pair at most
+    ``MAX_TERM_PAIRS`` terms in all."""
+    pairs = 0
+
+    def mul(f, g):
+        nonlocal pairs
+        pairs += len(f.terms) * len(g.terms)
+        if pairs > MAX_TERM_PAIRS:
+            raise SpecFileError(f"expression needs at least {pairs} term products, "
+                                f"past the limit of {MAX_TERM_PAIRS}")
+        return f * g
 
     def var(name):
         if name == "L":
@@ -166,7 +180,7 @@ def parse_motivic_expr(text: str) -> MotivicPoly:
         return MotivicPoly.atom(name)
 
     return _ExprParser(_tokenize(text), MotivicPoly.from_int, var,
-                       operator.add, operator.sub, operator.mul).parse()
+                       operator.add, operator.sub, mul).parse()
 
 
 def parse_okt_expr(text: str, algebra: PolyAlgebra):

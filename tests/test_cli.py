@@ -426,6 +426,8 @@ class TestContradictingFlags:
          ("--check membership", "--target")),
         ("pushout --check nilpotent --gluing two-points --target k",
          ("--check nilpotent", "--target")),
+        ("isogeny --demo --spec {torus}", ("--demo", "--spec")),
+        ("isogeny --demo --spec /nonexistent.spec", ("--demo", "--spec")),
     ])
     def test_rejected(self, capsys, spec_paths, argv, flags):
         code, out, err = invoke(capsys, *argv.format(**spec_paths).split())

@@ -1,9 +1,6 @@
 import random
-import sys
-import types
 from itertools import permutations
 from math import gcd
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +24,8 @@ from tamebc import (
 from tamebc import dvr
 from tamebc._intmat import mat_identity
 from tamebc.dvr import _kernel_slots
+
+from _mutants import mutant
 
 
 CFG2 = DVRConfig(2, 16)
@@ -363,20 +362,6 @@ class TestPackedChains:
         assert coverage["cap"] >= 10, coverage
 
 
-def ring_mutant(old, new):
-    """``tamebc.dvr`` with one edit to its source, as a separate module."""
-    source = Path(dvr.__file__).read_text(encoding="utf-8")
-    assert source.count(old) == 1, old
-    module = types.ModuleType("tamebc._ring_mutant")
-    module.__package__ = "tamebc"
-    sys.modules[module.__name__] = module  # the dataclasses look their module up
-    try:
-        exec(compile(source.replace(old, new), module.__name__, "exec"), vars(module))
-    finally:
-        del sys.modules[module.__name__]
-    return module
-
-
 RING_MUTANTS = {
     "offset-not-multiple-of-p": ("m = -(-b._top // cfg.p) * cfg.p", "m = b._top"),
     "sub-keeps-top": ("b._pack(), a._top + m, cfg)", "b._pack(), a._top, cfg)"),
@@ -393,21 +378,21 @@ RING_MUTANTS = {
 REDUCE_MUTANTS = sorted(name for name in RING_MUTANTS if name.startswith("reduce-"))
 
 
-@pytest.mark.parametrize("mutant", sorted(RING_MUTANTS))
-def test_chain_sweep_catches_mutant(mutant):
-    assert chain_sweep(ring_mutant(*RING_MUTANTS[mutant]), 5, 40)[0]
+@pytest.mark.parametrize("name", sorted(RING_MUTANTS))
+def test_chain_sweep_catches_mutant(name):
+    assert chain_sweep(mutant(dvr, *RING_MUTANTS[name]), 5, 40)[0]
 
 
 def test_unmutated_ring_copy_passes():
     # control: the mismatches above come from the edits, not from the copy
     same = RING_MUTANTS["sub-keeps-top"][0]
-    assert chain_sweep(ring_mutant(same, same), 5, 40)[0] == []
+    assert chain_sweep(mutant(dvr, same, same), 5, 40)[0] == []
 
 
 def test_byte_slot_ring_passes():
     # the big-endian configuration: every slot goes through int.to_bytes
     old = '{array(c).itemsize: c for c in "QIH"} if sys.byteorder == "little" else {}'
-    ring = ring_mutant(old, "{}")
+    ring = mutant(dvr, old, "{}")
     assert ring._SLOT_CODES == {}
     assert chain_sweep(ring, 5, 40)[0] == []
 
@@ -453,11 +438,11 @@ class TestReduce:
 
     def test_byte_slot_ring_matches_slotwise_mod(self):
         old = '{array(c).itemsize: c for c in "QIH"} if sys.byteorder == "little" else {}'
-        assert reduce_sweep(ring_mutant(old, "{}"), 11) == []
+        assert reduce_sweep(mutant(dvr, old, "{}"), 11) == []
 
-    @pytest.mark.parametrize("mutant", REDUCE_MUTANTS)
-    def test_catches_mutant(self, mutant):
-        assert reduce_sweep(ring_mutant(*RING_MUTANTS[mutant]), 11)
+    @pytest.mark.parametrize("name", REDUCE_MUTANTS)
+    def test_catches_mutant(self, name):
+        assert reduce_sweep(mutant(dvr, *RING_MUTANTS[name]), 11)
 
     @pytest.mark.parametrize("p", (2, 3, 65537))
     def test_unit_divide_round_trip_at_large_precision(self, p):

@@ -12,8 +12,6 @@ defects, or raise the same error class.
 
 import random
 import sys
-import types
-from pathlib import Path
 
 import pytest
 
@@ -30,7 +28,7 @@ from tamebc import (
     smith_normal_form,
     tor_defect,
 )
-from tamebc import _intmat
+from tamebc import _intmat, pushout as pushout_module
 from tamebc.dvr import column_echelon, coordinates_in_echelon
 from tamebc.errors import (
     ConfigMismatch,
@@ -40,6 +38,8 @@ from tamebc.errors import (
     SpecInvariantViolation,
 )
 from tamebc.pushout import _fp_rank
+
+from _mutants import mutant
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +347,6 @@ def reference_mismatches(module, seed, count, tally=None):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_pushout_checks_match_reference(seed):
-    import tamebc.pushout as pushout_module
-
     tally = {}
     assert reference_mismatches(pushout_module, 200 + seed, 60, tally) == []
     # the sample must reach every outcome
@@ -356,25 +354,6 @@ def test_pushout_checks_match_reference(seed):
                 "PrecisionExhausted", "DegreeBound", "ConfigMismatch",
                 "SpecInvariantViolation"):
         assert tally.get(key, 0) > 0, (key, tally)
-
-
-def pushout_mutant(old, new):
-    """``tamebc.pushout`` with one edit to its source; the gluing classes
-    are shared with the real module so that its specs are accepted."""
-    import tamebc.pushout as pushout_module
-
-    source = Path(pushout_module.__file__).read_text()
-    assert source.count(old) == 1, old
-    module = types.ModuleType("tamebc._pushout_mutant")
-    module.__package__ = "tamebc"
-    sys.modules[module.__name__] = module
-    try:
-        exec(compile(source.replace(old, new), module.__name__, "exec"), vars(module))
-    finally:
-        del sys.modules[module.__name__]
-    for name in ("PolyAlgebra", "GluingSpec", "TwoPointsGluing", "WildPointGluing"):
-        setattr(module, name, getattr(pushout_module, name))
-    return module
 
 
 MUTANTS = {
@@ -387,11 +366,19 @@ MUTANTS = {
                          'wild-point gluings")\n    return False'),
     "guard-d-above-N": ("if d >= N:", "if d > N:"),
 }
+# the mutant checks take the real module's gluing specs
+SHARED = ("PolyAlgebra", "GluingSpec", "TwoPointsGluing", "WildPointGluing")
 
 
-@pytest.mark.parametrize("mutant", sorted(MUTANTS))
-def test_pushout_reference_catches_mutant(mutant):
-    assert reference_mismatches(pushout_mutant(*MUTANTS[mutant]), 200, 60)
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_pushout_reference_catches_mutant(name):
+    assert reference_mismatches(mutant(pushout_module, *MUTANTS[name], SHARED), 200, 60)
+
+
+def test_unmutated_copy_passes():
+    # control: the mismatches above come from the edits, not from the copy
+    same = MUTANTS["guard-d-above-N"][0]
+    assert reference_mismatches(mutant(pushout_module, same, same, SHARED), 200, 60) == []
 
 
 # ---------------------------------------------------------------------------

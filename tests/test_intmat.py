@@ -10,14 +10,13 @@ singular and non-square shapes; source mutants of the loop must be caught.
 """
 
 import random
-import sys
-import types
-from pathlib import Path
 
 import pytest
 
 from tamebc import _intmat
 from tamebc._intmat import det, smith_diagonal
+
+from _mutants import mutant
 
 
 def ref_smith_diagonal(m):
@@ -179,20 +178,6 @@ def test_small_cases():
 # mutants of the loop that the sweep must catch
 # ---------------------------------------------------------------------------
 
-def smith_mutant(old, new):
-    """``smith_diagonal`` from ``tamebc._intmat`` with one edit to its source."""
-    source = Path(_intmat.__file__).read_text(encoding="utf-8")
-    assert source.count(old) == 1, old
-    module = types.ModuleType("tamebc._intmat_mutant")
-    module.__package__ = "tamebc"
-    sys.modules[module.__name__] = module
-    try:
-        exec(compile(source.replace(old, new), module.__name__, "exec"), vars(module))
-    finally:
-        del sys.modules[module.__name__]
-    return module.smith_diagonal
-
-
 MUTANTS = {
     "no-fold": ("offender = next((row for row in a[1:] if any(v % p for v in row)), None)",
                 "offender = None"),
@@ -200,11 +185,11 @@ MUTANTS = {
 }
 
 
-@pytest.mark.parametrize("mutant", sorted(MUTANTS))
-def test_sweep_catches_mutant(mutant):
-    assert sweep_mismatches(smith_mutant(*MUTANTS[mutant]), 2024, 200)
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_sweep_catches_mutant(name):
+    assert sweep_mismatches(mutant(_intmat, *MUTANTS[name]).smith_diagonal, 2024, 200)
 
 
 def test_unmutated_copy_passes():
     same = MUTANTS["no-abs"][0]
-    assert sweep_mismatches(smith_mutant(same, same), 2024, 200) == []
+    assert sweep_mismatches(mutant(_intmat, same, same).smith_diagonal, 2024, 200) == []

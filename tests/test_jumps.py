@@ -1,7 +1,4 @@
-import sys
-import types
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +24,9 @@ from tamebc import (
     tame_conductor,
     torus_jumps,
 )
+from tamebc import jumps as jumps_module
+
+from _mutants import mutant
 
 
 def F(a, b=1):
@@ -145,22 +145,6 @@ class TestOrderRecursion:
                     assert order_recursion_check(spec, alpha, q)
 
 
-def jumps_mutant(old, new):
-    """``tamebc.jumps`` with one edit to its source, as a separate module."""
-    import tamebc.jumps as jumps_module
-
-    source = Path(jumps_module.__file__).read_text(encoding="utf-8")
-    assert source.count(old) == 1, old
-    module = types.ModuleType("tamebc._jumps_mutant")
-    module.__package__ = "tamebc"
-    sys.modules[module.__name__] = module  # the dataclasses look their module up
-    try:
-        exec(compile(source.replace(old, new), module.__name__, "exec"), vars(module))
-    finally:
-        del sys.modules[module.__name__]
-    return module
-
-
 SLOPE = "((spec.n - 1) * (d - 1) + gcd(spec.n, d) - 1) // 2"
 
 
@@ -174,14 +158,15 @@ def recursion_failures(module):
 
 def test_recursion_check_catches_a_wrong_order_slope():
     # slope n in place of n - 1 shifts ord(alpha + q*n) by q*n/2 too much
-    failures = recursion_failures(jumps_mutant(SLOPE, SLOPE.replace("(spec.n - 1)", "spec.n")))
+    slope_n = SLOPE.replace("(spec.n - 1)", "spec.n")
+    failures = recursion_failures(mutant(jumps_module, SLOPE, slope_n))
     assert len(failures) == 2 * 7 * 19 * 3
     assert all(q > 0 for *_, q in failures)
 
 
 def test_unmutated_jumps_copy_passes_the_recursion_check():
     # control: the failures above come from the edit, not from the copy
-    assert recursion_failures(jumps_mutant(SLOPE, SLOPE)) == []
+    assert recursion_failures(mutant(jumps_module, SLOPE, SLOPE)) == []
 
 
 class TestTameConductor:

@@ -13,7 +13,6 @@ reports and expansions.
 import random
 from fractions import Fraction
 from math import gcd, lcm
-from pathlib import Path
 
 import pytest
 
@@ -34,6 +33,8 @@ from tamebc import (
 from tamebc import motivic
 from tamebc.errors import DomainError
 from tamebc.motivic import _difference_numerator, _render_terms, _zpoly_div_l_minus_one
+
+from _mutants import mutant
 
 L = MotivicPoly.L
 
@@ -405,18 +406,6 @@ def test_one_product_per_tame_divisor(product_counter):
 # mutants of the kernel that the references must catch
 # ---------------------------------------------------------------------------
 
-def motivic_mutant(old, new):
-    """The functions of ``tamebc.motivic`` with one edit to its source,
-    sharing the real classes."""
-    source = Path(motivic.__file__).read_text(encoding="utf-8")
-    assert source.count(old) == 1, old
-    namespace = dict(LIVE)
-    exec(compile(source.replace(old, new), "tamebc_motivic_mutant", "exec"), namespace)
-    for name in ("MotivicPoly", "CycloRational", "JacobianSpec", "ToricDivisorData", "PoleReport"):
-        namespace[name] = LIVE[name]
-    return namespace
-
-
 MUTANTS = {
     "binomial-sign": ("comb(t, k) * (-1) ** (t - k)", "comb(t, k) * (-1) ** k"),
     "ec-times-i-plus-1": ("s, m = shift + ec * i,", "s, m = shift + ec * (i + 1),"),
@@ -424,14 +413,16 @@ MUTANTS = {
     "top-coefficient-divisible": ("if any(sum(by_le.values()) for by_le in groups.values()):",
                                   "if any(by_le[max(by_le)] for by_le in groups.values()):"),
 }
+# the mutant kernel takes the real classes' specs and returns comparable values
+SHARED = ("MotivicPoly", "CycloRational", "JacobianSpec", "ToricDivisorData", "PoleReport")
 
 
-@pytest.mark.parametrize("mutant", sorted(MUTANTS))
-def test_kernel_references_catch_mutant(mutant):
-    assert kernel_mismatches(motivic_mutant(*MUTANTS[mutant]), 700, 40)
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_kernel_references_catch_mutant(name):
+    assert kernel_mismatches(vars(mutant(motivic, *MUTANTS[name], SHARED)), 700, 40)
 
 
 def test_unmutated_copy_passes():
     # control: the mismatches above come from the edits, not from the copy
     same = MUTANTS["run-bound"][0]
-    assert kernel_mismatches(motivic_mutant(same, same), 700, 40) == []
+    assert kernel_mismatches(vars(mutant(motivic, same, same, SHARED)), 700, 40) == []

@@ -11,10 +11,7 @@ construction.
 """
 
 import random
-import sys
-import types
 from math import gcd
-from pathlib import Path
 
 import pytest
 
@@ -36,6 +33,8 @@ from tamebc import dvr
 from tamebc._intmat import mat_identity
 from tamebc.dvr import _poly_mod, oracle_precision
 from tamebc.errors import DomainError
+
+from _mutants import mutant
 
 PRIMES = (2, 3, 5, 7)
 L = MotivicPoly.L
@@ -265,23 +264,6 @@ def test_large_level_at_its_default_order():
 # mutants of the construction that the checks above must catch
 # ---------------------------------------------------------------------------
 
-def oracle_mutant(old, new):
-    """``cokernel_d_jumps_oracle`` from ``tamebc.dvr`` with one edit to its
-    source, sharing the real classes."""
-    source = Path(dvr.__file__).read_text(encoding="utf-8")
-    assert source.count(old) == 1, old
-    module = types.ModuleType("tamebc._dvr_mutant")
-    module.__package__ = "tamebc"
-    sys.modules[module.__name__] = module  # the dataclasses look their module up
-    try:
-        exec(compile(source.replace(old, new), module.__name__, "exec"), vars(module))
-    finally:
-        del sys.modules[module.__name__]
-    for name in ("DVRConfig", "TruncSeries", "TameContext", "EisensteinPoly", "ElemDivisors"):
-        setattr(module, name, getattr(dvr, name))
-    return module.cokernel_d_jumps_oracle
-
-
 def all_mismatches(oracle):
     return (sweep_mismatches(oracle, 900) + reference_mismatches(oracle, 700, 60)
             + zeta_mismatches(oracle, 11, 12))
@@ -295,14 +277,16 @@ MUTANTS = {
                      "modulus = list(P.coeffs)"),
     "no-precision-pre-check": ("if d >= ctx.base.precision:", "if d > ctx.base.precision:"),
 }
+# the mutant oracle takes the real classes' configs, polynomials and contexts
+SHARED = ("DVRConfig", "TruncSeries", "TameContext", "EisensteinPoly", "ElemDivisors")
 
 
-@pytest.mark.parametrize("mutant", sorted(MUTANTS))
-def test_checks_catch_mutant(mutant):
-    assert all_mismatches(oracle_mutant(*MUTANTS[mutant]))
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_checks_catch_mutant(name):
+    assert all_mismatches(mutant(dvr, *MUTANTS[name], SHARED).cokernel_d_jumps_oracle)
 
 
 def test_unmutated_copy_passes():
     # control: the mismatches above come from the edits, not from the copy
     same = MUTANTS["wrong-a"][0]
-    assert all_mismatches(oracle_mutant(same, same)) == []
+    assert all_mismatches(mutant(dvr, same, same, SHARED).cokernel_d_jumps_oracle) == []

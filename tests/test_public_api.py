@@ -3,7 +3,7 @@ exception classes of ``errors``, re-exported as the very same objects."""
 
 import subprocess
 import sys
-from types import ModuleType
+from inspect import ismodule
 
 import tamebc
 from tamebc import dvr, errors, jumps, lattice, motivic, pushout
@@ -64,5 +64,5 @@ def test_every_exported_name_comes_from_one_list():
     for name in error_classes:
         assert getattr(tamebc, name) is getattr(errors, name)
     exported = {name for name, obj in vars(tamebc).items()
-                if not name.startswith("_") and not isinstance(obj, ModuleType)}
+                if not name.startswith("_") and not ismodule(obj)}
     assert exported == set(declared) | error_classes == PUBLIC

@@ -1,5 +1,6 @@
 import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -87,6 +88,21 @@ class TestExpressions:
             parse_okt_expr("t^5 - t^5 + t", alg)
         with pytest.raises(DegreeBound):
             parse_okt_expr("t^3 * t^2", alg)
+
+    def test_motivic_products_are_bounded(self):
+        # each further power squares a class of thousands of terms
+        start = time.perf_counter()
+        with pytest.raises(SpecFileError, match="701706 term products"):
+            parse_motivic_expr("(L + A + B + 1)^30")
+        with pytest.raises(SpecFileError, match="term products"):
+            parse_text(JACOBIAN_TEXT.replace("ab_class = 1", "ab_class = (L + A + B + 1)^30"))
+        assert time.perf_counter() - start < 1.0
+        # within the bound
+        assert parse_motivic_expr("(L + 1)^1000").terms[500, ()] == comb(1000, 500)
+        value = parse_motivic_expr("(L + A + B + 1)^20")
+        assert len(value.terms) == comb(23, 3)
+        # a rendered class only multiplies monomials
+        assert parse_motivic_expr(str(value)) == value
 
     def test_bad_tokens(self):
         with pytest.raises(SpecFileError):

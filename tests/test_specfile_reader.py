@@ -16,12 +16,9 @@ are left out of the sweep; ``tests/test_specfile.py`` covers them.
 """
 
 import random
-import sys
-import types
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
-from pathlib import Path
 
 import pytest
 
@@ -58,6 +55,8 @@ from tamebc.specfile import (
     parse_motivic_expr,
     render_text,
 )
+
+from _mutants import mutant
 
 L = MotivicPoly.L
 
@@ -430,20 +429,6 @@ def test_sweep_agrees_with_the_reference():
 # mutants of the reader that the sweep must catch
 # ---------------------------------------------------------------------------
 
-def reader_mutant(old, new):
-    """``parse_text`` from ``tamebc.specfile`` with one edit to its source."""
-    source = Path(specfile.__file__).read_text(encoding="utf-8")
-    assert source.count(old) == 1, old
-    module = types.ModuleType("tamebc._specfile_mutant")
-    module.__package__ = "tamebc"
-    sys.modules[module.__name__] = module
-    try:
-        exec(compile(source.replace(old, new), module.__name__, "exec"), vars(module))
-    finally:
-        del sys.modules[module.__name__]
-    return module.parse_text
-
-
 MUTANTS = {
     "unknown-keys-ignored": ("if len(data) > len(values) - values.count(None):", "if False:"),
     "no-default": ('DEFAULT_PRECISION if precision is None else _parse_int(precision, "precision")',
@@ -452,11 +437,11 @@ MUTANTS = {
 }
 
 
-@pytest.mark.parametrize("mutant", sorted(MUTANTS))
-def test_sweep_catches_mutant(mutant):
-    assert sweep(reader_mutant(*MUTANTS[mutant]), 11, 400)[0]
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_sweep_catches_mutant(name):
+    assert sweep(mutant(specfile, *MUTANTS[name]).parse_text, 11, 400)[0]
 
 
 def test_unmutated_copy_passes():
     same = MUTANTS["duplicates-allowed"][0]
-    assert sweep(reader_mutant(same, same), 11, 400)[0] == []
+    assert sweep(mutant(specfile, same, same).parse_text, 11, 400)[0] == []

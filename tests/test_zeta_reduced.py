@@ -11,7 +11,6 @@ the nonzero classes.
 import random
 from fractions import Fraction
 from math import gcd, lcm
-from pathlib import Path
 
 import pytest
 
@@ -27,6 +26,8 @@ from tamebc import (
     torus_jumps,
 )
 from tamebc import motivic
+
+from _mutants import mutant
 
 L = MotivicPoly.L
 WILD = [(2, 2), (4, 2), (8, 2), (3, 3), (9, 3), (5, 5)]
@@ -117,28 +118,18 @@ def test_jacobian_zeta_is_reduced_and_matches_the_levels(seed):
         assert tally.get(key, 0) >= 5, tally
 
 
-def jacobian_mutant(old, new):
-    """``zeta_jacobian`` of a copy of ``tamebc.motivic`` with one edit,
-    sharing the real classes."""
-    source = Path(motivic.__file__).read_text(encoding="utf-8")
-    assert source.count(old) == 1, old
-    namespace = dict(vars(motivic))
-    exec(compile(source.replace(old, new), "tamebc_motivic_mutant", "exec"), namespace)
-    for name in ("MotivicPoly", "CycloRational", "JacobianSpec", "ToricDivisorData"):
-        namespace[name] = getattr(motivic, name)
-    return namespace["zeta_jacobian"]
-
-
 T_MAX = "t_max = max((spec.divisors[a1].t for a1 in classes), default=-1)"
+# the mutant zeta takes the real classes' specs and returns comparable values
+SHARED = ("MotivicPoly", "CycloRational", "JacobianSpec", "ToricDivisorData")
 
 
 def test_t_max_over_every_divisor_is_caught():
-    mutant = jacobian_mutant(T_MAX, "t_max = max(d.t for d in spec.divisors.values())")
-    bad = zeta_mismatches(mutant, 900, 120)
+    edit = "t_max = max(d.t for d in spec.divisors.values())"
+    bad = zeta_mismatches(mutant(motivic, T_MAX, edit, SHARED).zeta_jacobian, 900, 120)
     # caught also where some class is nonzero, not only on the zero function
     assert any(d.ab_class for spec in bad for d in spec.divisors.values())
 
 
 def test_unmutated_copy_passes():
     # control: the mismatches above come from the edit, not from the copy
-    assert zeta_mismatches(jacobian_mutant(T_MAX, T_MAX), 900, 120) == []
+    assert zeta_mismatches(mutant(motivic, T_MAX, T_MAX, SHARED).zeta_jacobian, 900, 120) == []
