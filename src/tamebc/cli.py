@@ -32,12 +32,12 @@ from .dvr import (
 )
 from .errors import DomainError, PrecisionExhausted, SpecFileError
 from .jumps import (
+    _torus_conductor,
     character_decomposition,
     d_jumps_closed_form,
     edixhoven_graded,
     order_function,
     parse_torus,
-    tame_conductor,
     torus_jumps,
 )
 from .lattice import is_isogeny, jumps_non_invariance_demo, klein_four_example_map
@@ -171,7 +171,7 @@ def _cmd_order(args, out):
 
 
 def _cmd_conductor(args, out):
-    print(tame_conductor(torus_jumps(_torus_arg(args))), file=out)
+    print(_torus_conductor(_torus_arg(args)), file=out)
 
 
 def _cmd_characters(args, out):

@@ -55,8 +55,7 @@ which also stays packed.
 
 from __future__ import annotations
 
-import sys
-from array import array
+import struct
 from dataclasses import dataclass, field
 from itertools import islice
 from math import gcd
@@ -115,12 +114,12 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-# array typecodes by byte size; big-endian hosts pack with int.to_bytes
-_SLOT_CODES = {array(c).itemsize: c for c in "QIH"} if sys.byteorder == "little" else {}
+# little-endian struct codes by slot size; wider slots pack with int.to_bytes
+_SLOT_CODES = {2: "H", 4: "I", 8: "Q"}
 
 
 def _kernel_slots(p: int, n: int):
-    """(array typecode or None, bytes) of a slot holding 2*n*(p-1)^2 + 2*p."""
+    """(struct code or None, bytes) of a slot holding 2*n*(p-1)^2 + 2*p."""
     need = ((2 * n * (p - 1) ** 2 + 2 * p).bit_length() + 7) // 8
     size = min((k for k in _SLOT_CODES if k >= need), default=need)
     return _SLOT_CODES.get(size), size
@@ -166,7 +165,7 @@ def _pack(coeffs, slots) -> int:
     """One integer holding coeffs[i] in slot i (little-endian slots)."""
     code, size = slots
     if code:
-        return int.from_bytes(array(code, coeffs).tobytes(), "little")
+        return int.from_bytes(struct.pack(f"<{len(coeffs)}{code}", *coeffs), "little")
     return int.from_bytes(b"".join([c.to_bytes(size, "little") for c in coeffs]), "little")
 
 
@@ -282,7 +281,7 @@ class TruncSeries:
         code, size = self.config._slots
         raw = self._pack(True).to_bytes(size * self.config.precision, "little")
         if code:
-            return tuple(array(code, raw))
+            return struct.unpack(f"<{self.config.precision}{code}", raw)
         return tuple(int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size))
 
     def _pack(self, reduced: bool = False) -> int:

@@ -53,6 +53,10 @@ __all__ = [
     "render_torus",
 ]
 
+# the deepest nesting of product(...) in a torus expression and of
+# parentheses in a ring expression
+MAX_NESTING = 64
+
 
 # ---------------------------------------------------------------------------
 # torus expression trees
@@ -149,9 +153,6 @@ class JumpMultiset(_Sorted):
     def conductor(self) -> Fraction:
         return sum(self.entries, Fraction(0))
 
-    def denominator_lcm(self) -> int:
-        return lcm(1, *(e.denominator for e in self.entries))
-
     def __repr__(self):
         return f"JumpMultiset({list(self.entries)!r})"
 
@@ -214,24 +215,27 @@ class CharacterDecomp(DJumps):
 # operations
 # ---------------------------------------------------------------------------
 
-def torus_jumps(spec: Torus) -> JumpMultiset:
-    """Jump multiset of a torus expression.
-
-    Gm has the single jump 0; Res(n) has jumps v/n for v = 0..n-1;
-    ResQuot(n) drops the 0; NormOneQuadratic has the single jump 1/2;
-    products take multiset unions.
-    """
+def _atoms(spec: Torus) -> list:
+    """(n, s) for each induction atom of the torus, whose jumps are v/n for
+    s <= v < n: Gm (1, 0), Res(n) (n, 0), ResQuot(n) (n, 1) and
+    NormOneQuadratic (2, 1); a Product concatenates its factors' lists."""
     if isinstance(spec, Gm):
-        return JumpMultiset([Fraction(0)])
+        return [(1, 0)]
     if isinstance(spec, Res):
-        return JumpMultiset(Fraction(v, spec.n) for v in range(spec.n))
+        return [(spec.n, 0)]
     if isinstance(spec, ResQuot):
-        return JumpMultiset(Fraction(v, spec.n) for v in range(1, spec.n))
+        return [(spec.n, 1)]
     if isinstance(spec, NormOneQuadratic):
-        return JumpMultiset([Fraction(1, 2)])
+        return [(2, 1)]
     if isinstance(spec, Product):
-        return JumpMultiset(j for f in spec.factors for j in torus_jumps(f))
+        return [atom for f in spec.factors for atom in _atoms(f)]
     raise SpecInvariantViolation(f"unknown torus node {spec!r}")
+
+
+def torus_jumps(spec: Torus) -> JumpMultiset:
+    """Jump multiset of a torus expression: v/n for s <= v < n over its
+    atoms (n, s), so products take multiset unions."""
+    return JumpMultiset(Fraction(v, n) for n, s in _atoms(spec) for v in range(s, n))
 
 
 def d_jumps_closed_form(n: int, d: int) -> DJumps:
@@ -265,41 +269,33 @@ def _floor_sum(jumps: JumpMultiset, d: int) -> int:
 
 def order_function(spec: Torus, d: int) -> int:
     """Total length of the level-d cokernel: the sum of the d-jumps, in
-    closed form per atom.  Res(n) and ResQuot(n) (whose dropped jump 0 adds
-    nothing) sum floor(d*v/n) over v < n to ((n-1)(d-1) + gcd(n, d) - 1)/2."""
+    closed form per atom.  An atom (n, s) (whose dropped jump 0 adds
+    nothing) sums floor(d*v/n) over v < n to ((n-1)(d-1) + gcd(n, d) - 1)/2."""
     if d < 1:
         raise SpecInvariantViolation("need d >= 1")
-    return _atom_order(spec, d)
+    return sum(((n - 1) * (d - 1) + gcd(n, d) - 1) // 2 for n, _ in _atoms(spec))
 
 
-def _atom_order(spec: Torus, d: int) -> int:
-    if isinstance(spec, (Res, ResQuot)):
-        return ((spec.n - 1) * (d - 1) + gcd(spec.n, d) - 1) // 2
-    if isinstance(spec, NormOneQuadratic):
-        return d // 2
-    if isinstance(spec, Product):
-        return sum(_atom_order(f, d) for f in spec.factors)
-    if isinstance(spec, Gm):
-        return 0
-    raise SpecInvariantViolation(f"unknown torus node {spec!r}")
+def _torus_conductor(spec: Torus) -> Fraction:
+    """The tame conductor of a torus in closed form: each atom (n, s)
+    sums v/n over s <= v < n to (n-1)/2."""
+    return sum((Fraction(n - 1, 2) for n, _ in _atoms(spec)), Fraction(0))
 
 
 def order_recursion_check(spec: Torus, alpha: int, q: int) -> bool:
     """Check ord(alpha + q*e) == ord(alpha) + q*e*c for the torus.
 
-    Here e is the lcm of the jump denominators (n for Res(n)) and c the
-    tame conductor.  Both orders come from the closed form
-    ``order_function`` and the shift from the jumps, so a wrong closed
-    form fails the check: floor sums satisfy the identity for every jump
-    multiset.  q*e*c is q times the sum of (e/den)*num over the jumps
-    num/den.  Side conditions about coprimality to the residue
-    characteristic are the caller's concern.
+    Here e is the lcm of the atom degrees n, which is the lcm of the jump
+    denominators, and c the tame conductor.  The orders come from the
+    closed form ``order_function`` and the shift from the closed-form
+    conductor, so a wrong slope in either fails the check: floor sums
+    satisfy the identity for every jump multiset.  Side conditions about
+    coprimality to the residue characteristic are the caller's concern.
     """
     if alpha < 1 or q < 0:
         raise SpecInvariantViolation("need alpha >= 1 and q >= 0")
-    jumps = torus_jumps(spec)
-    e = jumps.denominator_lcm()
-    shift = q * sum(e // j.denominator * j.numerator for j in jumps)
+    e = lcm(1, *(n for n, _ in _atoms(spec)))
+    shift = q * e * _torus_conductor(spec)
     return order_function(spec, alpha + q * e) == order_function(spec, alpha) + shift
 
 
@@ -335,6 +331,7 @@ def parse_torus(text: str) -> Torus:
                     | "product(" expr ("," expr)* ")"
     A degree is ASCII digits right after the colon, with no sign or
     blank.  Whitespace around tokens is ignored; names are lowercase.
+    Products nest at most ``MAX_NESTING`` deep.
     """
     s = text.strip()
     node, rest = _parse_torus_expr(s)
@@ -343,13 +340,16 @@ def parse_torus(text: str) -> Torus:
     return node
 
 
-def _parse_torus_expr(s: str):
+def _parse_torus_expr(s: str, depth: int = 0):
     s = s.lstrip()
     if s.startswith("product("):
+        if depth == MAX_NESTING:
+            raise SpecInvariantViolation(
+                f"product(...) nested deeper than {MAX_NESTING} levels")
         rest = s[len("product("):]
         factors = []
         while True:
-            node, rest = _parse_torus_expr(rest)
+            node, rest = _parse_torus_expr(rest, depth + 1)
             factors.append(node)
             rest = rest.lstrip()
             if rest.startswith(","):

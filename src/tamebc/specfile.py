@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .dvr import DEFAULT_PRECISION, DVRConfig, EisensteinPoly, TruncSeries
 from .errors import SpecFileError, SpecInvariantViolation
-from .jumps import JumpMultiset, Torus, parse_torus, render_torus
+from .jumps import MAX_NESTING, JumpMultiset, Torus, parse_torus, render_torus
 from .lattice import FiniteAbelianGroup, GLattice, LatticeMap
 from .motivic import JacobianSpec, MotivicPoly
 from .pushout import (
@@ -45,9 +45,10 @@ MAX_TERM_PAIRS = 1 << 19
 
 def _tokenize(text):
     """Integers are ASCII digit runs and names ASCII identifiers; any other
-    character, a non-ASCII digit or letter included, is rejected."""
+    character, a non-ASCII digit or letter included, is rejected, and so
+    are parentheses nested deeper than ``MAX_NESTING``."""
     tokens = []
-    i = 0
+    i = depth = 0
     while i < len(text):
         ch = text[i]
         if ch.isspace():
@@ -73,6 +74,9 @@ def _tokenize(text):
             i = j
             continue
         if ch in "+-*^()":
+            depth += (ch == "(") - (ch == ")")
+            if depth > MAX_NESTING:
+                raise SpecFileError(f"parentheses nested deeper than {MAX_NESTING} levels")
             tokens.append((ch, ch))
             i += 1
             continue
@@ -123,9 +127,14 @@ class _ExprParser:
         return value
 
     def factor(self):
-        if self.peek() == "-":
+        negate = False
+        while self.peek() == "-":  # a loop: no run of signs can exhaust the stack
             self.next()
-            return self.mul(self.const(-1), self.factor())
+            negate = not negate
+        value = self.power()
+        return self.mul(self.const(-1), value) if negate else value
+
+    def power(self):
         base = self.base()
         if self.peek() != "^":
             return base

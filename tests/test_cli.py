@@ -172,6 +172,17 @@ class TestPushoutCommands:
         )
         assert (code, out) == (0, "generates: true\n")
 
+    @pytest.mark.parametrize("poly, expected", [
+        ("t", "member: false, not_in_pi_fiber: skipped, square_in_pi_fiber: skipped\n"),
+        ("1", "member: true, not_in_pi_fiber: true, square_in_pi_fiber: false\n"),
+    ])
+    def test_nilpotent_with_poly(self, capsys, poly, expected):
+        code, out, err = invoke(
+            capsys, "pushout", "--check", "nilpotent", "--gluing", "two-points",
+            "--poly", poly,
+        )
+        assert (code, out) == (0, expected)
+
     def test_base_change_wild(self, capsys):
         code, out, err = invoke(
             capsys, "pushout", "--check", "base-change",
@@ -239,6 +250,51 @@ class TestExitCodes:
             code, out, err = invoke(capsys, "jumps", "--torus", torus)
             assert (code, out) == (1, "")
             assert err.startswith("SpecInvariantViolation")
+
+
+class TestInputErrors:
+    """A missing input, a spec file of the wrong kind and a malformed
+    expression are domain errors that say what was expected."""
+
+    @pytest.mark.parametrize("argv, error", [
+        ("jumps --spec {jacobian}", "{jacobian} does not describe a torus"),
+        ("jumps", "need --torus EXPR or --spec FILE"),
+        ("pushout --check tor-defect", "need --gluing two-points|wild-point or --spec FILE"),
+        ("pole --n 2", "need --n and --p, or --spec FILE"),
+        ("pushout --check membership --gluing two-points --poly '1 2'",
+         "trailing tokens in expression"),
+    ])
+    def test_message(self, capsys, jacobian_file, argv, error):
+        argv = shlex.split(argv.format(jacobian=jacobian_file))
+        expected = f"SpecFileError: {error.format(jacobian=jacobian_file)}\n"
+        assert invoke(capsys, *argv) == (1, "", expected)
+
+
+DEEP_TORUS = "product(" * 400 + "gm" + ")" * 400
+DEEP_RING = "(" * 400 + "1" + ")" * 400
+
+
+class TestNesting:
+    """Input nested past MAX_NESTING is a short domain error naming the
+    bound, not a RecursionError."""
+
+    @pytest.mark.parametrize("argv, spec, error", [
+        (("jumps", "--torus", DEEP_TORUS), None, "SpecInvariantViolation"),
+        (("pushout", "--check", "membership", "--gluing", "two-points", "--poly", DEEP_RING),
+         None, "SpecFileError"),
+        (("jumps", "--spec"), f"kind = torus\ntorus = {DEEP_TORUS}\n", "SpecFileError"),
+        (("zeta-jacobian", "--spec"), JACOBIAN_TEXT.replace("ab_class = 1", f"ab_class = {DEEP_RING}"),
+         "SpecFileError"),
+    ], ids=["torus", "poly", "torus-key", "ab_class-key"])
+    def test_rejected(self, capsys, tmp_path, argv, spec, error):
+        if spec is not None:
+            path = tmp_path / "deep.spec"
+            path.write_text(spec)
+            argv += (str(path),)
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"{error}: ") and "deeper than 64 levels" in err
+        assert "Traceback" not in err and len(err) < 300
 
 
 LIMIT = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0

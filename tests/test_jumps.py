@@ -25,6 +25,7 @@ from tamebc import (
     torus_jumps,
 )
 from tamebc import jumps as jumps_module
+from tamebc.jumps import MAX_NESTING
 
 from _mutants import mutant
 
@@ -145,7 +146,7 @@ class TestOrderRecursion:
                     assert order_recursion_check(spec, alpha, q)
 
 
-SLOPE = "((spec.n - 1) * (d - 1) + gcd(spec.n, d) - 1) // 2"
+SLOPE = "((n - 1) * (d - 1) + gcd(n, d) - 1) // 2"
 
 
 def recursion_failures(module):
@@ -158,7 +159,7 @@ def recursion_failures(module):
 
 def test_recursion_check_catches_a_wrong_order_slope():
     # slope n in place of n - 1 shifts ord(alpha + q*n) by q*n/2 too much
-    slope_n = SLOPE.replace("(spec.n - 1)", "spec.n")
+    slope_n = SLOPE.replace("(n - 1)", "n")
     failures = recursion_failures(mutant(jumps_module, SLOPE, slope_n))
     assert len(failures) == 2 * 7 * 19 * 3
     assert all(q > 0 for *_, q in failures)
@@ -316,3 +317,11 @@ class TestTorusSyntax:
         for text in ("res:\u00b2", "res:\uff14", "resquot:\u0663", "res:4\uff14"):
             with pytest.raises(SpecInvariantViolation):
                 parse_torus(text)
+
+    def test_nesting_is_bounded(self):
+        def nested(depth):
+            return "product(" * depth + "res:2" + ")" * depth
+        assert MAX_NESTING == 64
+        assert torus_jumps(parse_torus(nested(64))) == torus_jumps(Res(2))
+        with pytest.raises(SpecInvariantViolation, match="deeper than 64 levels"):
+            parse_torus(nested(65))

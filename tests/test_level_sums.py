@@ -1,17 +1,19 @@
 """Differential tests of the level sums built from plain integers.
 
 ``order_function`` sums floor(d*j) over the jumps directly,
-``order_recursion_check`` compares closed-form orders, the Jacobian zeta
-numerator comes from a finite difference, and ``reduce`` cancels the
-denominator factors in one sorted pass.  The references below are the
-constructions they replace: the graded d-jumps, the power-sum polynomials
-A_j with sum_q q^j x^q = A_j(x)/(1-x)^(j+1), and the restart loop of
-exact divisions.  Both sides must agree on seeded random inputs.
+``order_recursion_check`` compares closed-form orders, the conductor
+sums (n-1)/2 over the torus atoms, the Jacobian zeta numerator comes
+from a finite difference, and ``reduce`` cancels the denominator factors
+in one sorted pass.  The references below are the constructions they
+replace: the graded d-jumps, the sum of the enumerated jumps, the
+power-sum polynomials A_j with sum_q q^j x^q = A_j(x)/(1-x)^(j+1), and
+the restart loop of exact divisions.  Both sides must agree on seeded
+random inputs.
 """
 
 import random
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 import pytest
 
@@ -29,9 +31,13 @@ from tamebc import (
     order_function,
     order_recursion_check,
     reduce,
+    tame_conductor,
     torus_jumps,
 )
+from tamebc import jumps as jumps_module
 from tamebc.motivic import _difference_numerator
+
+from _mutants import mutant
 
 L = MotivicPoly.L
 
@@ -233,12 +239,40 @@ def test_order_recursion_on_random_tori():
     for _ in range(300):
         spec = random_torus(rng)
         jumps = torus_jumps(spec)
-        e = jumps.denominator_lcm()
+        e = lcm(1, *(j.denominator for j in jumps))
         alpha, q = rng.randint(1, 60), rng.randint(0, 20)
         lhs = order_function(spec, alpha + q * e)
         rhs = Fraction(order_function(spec, alpha)) + q * e * jumps.conductor()
         assert lhs == rhs
         assert order_recursion_check(spec, alpha, q) is True
+
+
+def conductor_mismatches(module, seed, count):
+    """The random tori whose closed-form conductor in ``module`` differs
+    from the sum of their enumerated jumps."""
+    rng = random.Random(seed)
+    specs = [random_torus(rng, max_n=40) for _ in range(count)]
+    return [spec for spec in specs
+            if module._torus_conductor(spec) != tame_conductor(torus_jumps(spec))]
+
+
+# the mutant conductor reads tori built with the real classes
+TORUS_CLASSES = ("Gm", "Res", "ResQuot", "NormOneQuadratic", "Product")
+CONDUCTOR_SLOPE = "Fraction(n - 1, 2)"
+
+
+def test_closed_form_conductor_matches_the_jump_sum():
+    assert conductor_mismatches(jumps_module, 18, 400) == []
+
+
+def test_conductor_check_catches_a_wrong_slope():
+    wrong = mutant(jumps_module, CONDUCTOR_SLOPE, "Fraction(n, 2)", TORUS_CLASSES)
+    assert conductor_mismatches(wrong, 18, 400)
+
+
+def test_unmutated_conductor_copy_passes():
+    same = mutant(jumps_module, CONDUCTOR_SLOPE, CONDUCTOR_SLOPE, TORUS_CLASSES)
+    assert conductor_mismatches(same, 18, 400) == []
 
 
 # ---------------------------------------------------------------------------

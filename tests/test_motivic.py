@@ -359,6 +359,10 @@ class TestRendering:
         r = CycloRational({0: 1, 2: L()}, ((1, 1),))
         assert render_cyclo(r) == "(1 + L*z^2)/(1 - L^1*z^1)"
 
+    def test_one_over_one_factor(self):
+        r = CycloRational({0: 1}, [(1, 1)])
+        assert render_cyclo(r) == "(1)/(1 - L^1*z^1)"
+
     def test_deterministic(self):
         spec = simple_spec()
         assert render_cyclo(zeta_jacobian(spec)) == render_cyclo(zeta_jacobian(spec))

@@ -112,6 +112,22 @@ class TestExpressions:
         with pytest.raises(SpecFileError):
             parse_motivic_expr("(L")
 
+    @pytest.mark.parametrize("parse", [
+        parse_motivic_expr,
+        lambda text: parse_okt_expr(text, PolyAlgebra(DVRConfig(2, 8))),
+    ], ids=["motivic", "okt"])
+    def test_nesting_is_bounded(self, parse):
+        def nested(depth):
+            return "(" * depth + "1 + pi" + ")" * depth
+        assert parse(nested(64)) == parse("1 + pi")
+        with pytest.raises(SpecFileError, match="deeper than 64 levels"):
+            parse(nested(65))
+
+    def test_sign_runs(self):
+        # a run of unary minus signs is read in a loop, however long
+        assert parse_motivic_expr("-" * 10001 + "L^2") == -L(2)
+        assert parse_motivic_expr("--L - -3") == L() + 3
+
     def test_only_ascii_digits_and_names(self):
         # a superscript two, a fullwidth four and a non-ASCII letter
         for text in ("L + \u00b2", "\uff14*L", "L*E\u00e9", "\u00e9"):
@@ -215,6 +231,17 @@ class TestParsing:
         broken = JACOBIAN_TEXT.replace("n = 2", "n = 6")
         with pytest.raises(SpecFileError):
             parse_text(broken)
+
+    @pytest.mark.parametrize("text, message", [
+        ("kind = torus\ntorus res:3\n", "^line 2: expected key = value$"),
+        ("kind = torus\n = res:3\n", "^line 2: empty key$"),
+        (render_text(klein_four_example_map()).replace(
+            "gen1 = 1 0 0 0; 0 -1 0 0; 0 0 1 0; 0 0 0 -1", "gen1 = 1;"),
+         "^gen1: empty matrix row$"),
+    ], ids=["no-equals", "empty-key", "empty-row"])
+    def test_malformed_lines_rejected(self, text, message):
+        with pytest.raises(SpecFileError, match=message):
+            parse_text(text)
 
     def test_gluing_from_text(self):
         spec = parse_text(
