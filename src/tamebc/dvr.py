@@ -681,8 +681,10 @@ def cokernel_d_jumps_oracle(P: EisensteinPoly, ctx: TameContext) -> DJumps:
     1, so its powers w = 0 .. n-1 span the maximal order over O_K(d).
     Column w of the matrix holds the t-basis coordinates of
     pi_d^(b*(n-1-w)) * t^(a*w) mod P, with P's coefficients embedded in
-    K(d).  The d-jumps are b*(n-1) minus the valuations of its
-    Smith-form diagonal.
+    K(d).  The columns come from one sweep over k = 0 .. a*(n-1): the
+    row t^(k+1) mod P is t times the row t^k mod P, reduced by one step
+    of the division by P, and only the current row is kept.  The
+    d-jumps are b*(n-1) minus the valuations of its Smith-form diagonal.
     """
     n, d = P.degree, ctx.d
     modulus = [ctx.embed(c) for c in P.coeffs]
@@ -694,9 +696,13 @@ def cokernel_d_jumps_oracle(P: EisensteinPoly, ctx: TameContext) -> DJumps:
         )
     a, b = _uniformizer_exponents(n, d)
     ext = ctx.extension_config
+    zero = TruncSeries.zero(ext)
+    row = [TruncSeries.one(ext)] + [zero] * (n - 1)  # t^0 mod P
     columns = []
     for w in range(n):
-        power = [TruncSeries.zero(ext)] * (a * w) + [TruncSeries.one(ext)]
-        columns.append([c.shift_up(b * (n - 1 - w)) for c in _poly_mod(power, modulus)])
+        if w:
+            for _ in range(a):  # t^(a*w) mod P, one factor t at a time
+                row = _poly_mod([zero] + row, modulus)
+        columns.append([c.shift_up(b * (n - 1 - w)) for c in row])
     divisors = smith_normal_form([list(row) for row in zip(*columns)])
     return DJumps([b * (n - 1) - e for e in divisors.exponents], d)

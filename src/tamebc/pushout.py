@@ -10,16 +10,18 @@ gluings are supported:
   agree modulo pi, obtained by identifying two points of the special
   fibre of the affine line.
 
-Membership and the nilpotent witness work on the given polynomial.  The
-Tor obstruction to base change, module generation of A over A' and the
-comparison of "tensor then glue" against "glue then tensor" depend only
-on the gluing kind, and for a tame base change of two-points on its
-degree d, so each returns a closed form.  The proofs read the slice of
-A' over O_K off its basis: 1, P, P*t, ..., P*t^(D-n) for wild-point and
-1, pi*t, t^i - t (2 <= i <= D) for two-points.  The degrees are
-distinct and the leading coefficients are 1, except pi for pi*t, which
-is nonzero at every precision N >= 2.  Mod pi the monic elements stay
-independent and pi*t vanishes.
+Membership and the nilpotent witness work on the given polynomial;
+wild-point membership is n - 1 dot products of f with the rows t^k mod P
+that each gluing builds once, on demand.  The Tor obstruction to base
+change, module generation of A over A' and the comparison of "tensor
+then glue" against "glue then tensor" depend only on the gluing kind,
+and for a tame base change of two-points on its degree d, so each
+returns a closed form.  The proofs read the slice of A' over O_K off its
+basis: 1, P, P*t, ..., P*t^(D-n) for wild-point and 1, pi*t, t^i - t
+(2 <= i <= D) for two-points.  The degrees are distinct and the leading
+coefficients are 1, except pi for pi*t, which is nonzero at every
+precision N >= 2.  Mod pi the monic elements stay independent and pi*t
+vanishes.
 
 * Tor defect: 1 for two-points, 0 for wild-point.  A' tensor k ->
   A tensor k sends the basis to its reductions, so its kernel is
@@ -50,6 +52,7 @@ independent and pi*t vanishes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .dvr import (
@@ -165,6 +168,12 @@ class WildPointGluing(GluingSpec):
         if self.eisenstein.degree > self.algebra.degree_bound:
             raise DegreeBound("Eisenstein degree exceeds the slice bound")
 
+    @cached_property
+    def _powers(self):
+        """The rows t^k mod P by k, from t^n = -(a_0 + ... + a_(n-1) t^(n-1))
+        on, as far as membership has built them."""
+        return {self.eisenstein.degree: [-a for a in self.eisenstein.coeffs]}
+
 
 def _two_points(spec: GluingSpec) -> bool:
     """Whether spec is a two-points gluing, against a wild-point one."""
@@ -179,7 +188,11 @@ def fiber_membership(f, spec: GluingSpec) -> bool:
     """Whether f lies in the glued subring A'.
 
     two-points: the values at 1 and 0 agree modulo pi.  wild-point: the
-    remainder of f mod P is a constant.
+    remainder r of f mod P is a constant.  Each r_j is linear in f,
+    r_j = f_j + sum over k >= n of f_k * (t^k mod P)[j] (von zur Gathen
+    and Gerhard, Modern Computer Algebra, section 9), so r_1 .. r_(n-1)
+    are n - 1 dot products of f's high part with the rows t^k mod P
+    cached on the gluing.
     """
     f = spec.algebra.polynomial(f)
     if _two_points(spec):
@@ -187,10 +200,25 @@ def fiber_membership(f, spec: GluingSpec) -> bool:
         for c in f[1:]:
             total = total + c
         return not total.is_unit()
-    if len(f) <= 1:
+    P = spec.eisenstein
+    n = P.degree
+    if n == 1:  # every f is a constant mod a P of degree 1
         return True
-    remainder = _poly_mod(list(f), spec.eisenstein.coeffs)
-    return all(c.is_zero() for c in remainder[1:spec.eisenstein.degree])
+    rows = spec._powers
+    zero = TruncSeries.zero(P.config)
+    high = range(n, len(f))
+    for k in high[1:]:
+        # t * t^(k-1) mod P, stored by k: threads that race store equal rows
+        if k not in rows:
+            rows[k] = _poly_mod([zero] + rows[k - 1], P.coeffs)
+    for j in range(1, n):
+        r = f[j] if j < len(f) else zero
+        for k in high:
+            if not (f[k].is_zero() or rows[k][j].is_zero()):
+                r = r + f[k] * rows[k][j]
+        if not r.is_zero():
+            return False
+    return True
 
 
 class WitnessReport(NamedTuple):

@@ -276,6 +276,7 @@ MUTANTS = {
     "unembedded-p": ("modulus = [ctx.embed(c) for c in P.coeffs]",
                      "modulus = list(P.coeffs)"),
     "no-precision-pre-check": ("if d >= ctx.base.precision:", "if d > ctx.base.precision:"),
+    "sweep-past-aw": ("for _ in range(a):", "for _ in range(a + 1):"),
 }
 # the mutant oracle takes the real classes' configs, polynomials and contexts
 SHARED = ("DVRConfig", "TruncSeries", "TameContext", "EisensteinPoly", "ElemDivisors")
