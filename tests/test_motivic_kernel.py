@@ -7,7 +7,8 @@ references below are the constructions they replace: heads from generic
 ``MotivicPoly`` products, a series division multiplying by L^a, and a
 division by (L - 1) visiting every exponent from the top of each group
 down to 0.  Both sides must give the same numerators, renderings, pole
-reports and expansions.
+reports and expansions.  The reference renderer formats and orders one
+term at a time, with a key function, as the package once did.
 """
 
 import random
@@ -32,7 +33,7 @@ from tamebc import (
 )
 from tamebc import motivic
 from tamebc.errors import DomainError
-from tamebc.motivic import _difference_numerator, _render_terms, _zpoly_div_l_minus_one
+from tamebc.motivic import _difference_numerator, _zpoly_div_l_minus_one
 
 from _mutants import mutant
 
@@ -133,6 +134,43 @@ def ref_div_l_minus_one(terms):
     return out
 
 
+def ref_term_sort_key(term):
+    c, z, le, atoms = term
+    total = z + le + sum(e for _, e in atoms)
+    return (total, z, le, atoms)
+
+
+def ref_render_one_term(c, z, le, atoms):
+    factors = []
+    if le:
+        factors.append("L" if le == 1 else f"L^{le}")
+    for name, e in atoms:
+        factors.append(name if e == 1 else f"{name}^{e}")
+    if z:
+        factors.append("z" if z == 1 else f"z^{z}")
+    if not factors:
+        return str(c)
+    body = "*".join(factors)
+    if c == 1:
+        return body
+    return f"{c}*{body}"
+
+
+def ref_render_terms(flat):
+    """Sum of (c, z, L exponent, atoms) terms in ascending degree-lex
+    (z, L, atoms) order, one term at a time."""
+    flat = sorted(flat, key=ref_term_sort_key)
+    pieces = []
+    for idx, (c, z, le, atoms) in enumerate(flat):
+        neg = c < 0
+        body = ref_render_one_term(abs(c), z, le, atoms)
+        if idx == 0:
+            pieces.append(("-" if neg else "") + body)
+        else:
+            pieces.append((" - " if neg else " + ") + body)
+    return "".join(pieces)
+
+
 def ref_render_numerator(numerator):
     flat = [(c, z, le, atoms) for z, poly in numerator.items()
             for (le, atoms), c in poly.terms.items()]
@@ -169,7 +207,7 @@ def ref_render_numerator(numerator):
         parts.append("z" if z_min == 1 else f"z^{z_min}")
     rest_flat = [(c, z, le, atoms) for (z, le, atoms), c in rest.items() if c]
     if rest_flat != [(1, 0, 0, ())]:
-        body = _render_terms(rest_flat)
+        body = ref_render_terms(rest_flat)
         parts.append(f"({body})" if parts else body)
     return "*".join(parts) if parts else "1"
 
@@ -319,6 +357,52 @@ def test_reduce_and_expand_match_on_wide_numerators():
         assert r.expand(25) == ref_expand(r, 25)
     with pytest.raises(SpecInvariantViolation):
         reduce(CycloRational({0: 1}, ((-1, 1),)))
+
+
+# ---------------------------------------------------------------------------
+# the canonical rendering against the term-at-a-time reference
+# ---------------------------------------------------------------------------
+
+def random_atoms(rng):
+    return tuple(sorted((name, rng.randint(1, 2)) for name in rng.sample(ATOMS, rng.randint(0, 2))))
+
+
+def random_numerator(rng):
+    """content * (L-1)^k * L^a * atoms * z^m * rest, with a rest of sparse
+    terms spread over z, L and atoms; each common factor may be trivial."""
+    one_signed = rng.random() < 0.5
+    rest = {}
+    for _ in range(rng.randint(1, 6)):
+        key = (rng.choice((0, 1, 2, 5, 17, 60)), random_atoms(rng))
+        c = rng.choice((-3, -2, -1, 1, 1, 2, 4))
+        rest.setdefault(rng.randint(0, 4), {})[key] = abs(c) if one_signed else c
+    factor = (MotivicPoly.from_int(rng.choice((1, 1, -1, 2, -6, 12)))
+              * (L() - 1) ** rng.choice((0, 0, 1, 2, 3)) * L(rng.randint(0, 3)))
+    if rng.random() < 0.4:
+        factor = factor * MotivicPoly.atom(rng.choice(ATOMS)) ** rng.randint(1, 2)
+    shift = rng.randint(0, 3)
+    num = {z + shift: MotivicPoly(terms) * factor for z, terms in rest.items()}
+    return {z: poly for z, poly in num.items() if poly}
+
+
+def test_rendering_matches_the_term_at_a_time_reference():
+    rng = random.Random(2024)
+    seen = {"(L-1)": 0, "negative": 0, "atoms": 0, "monomial": 0}
+    for _ in range(3000):
+        num = random_numerator(rng)
+        den = [(rng.randint(0, 9), rng.randint(1, 5)) for _ in range(rng.randint(0, 3))]
+        r = CycloRational(num, den)
+        text = render_cyclo(r)
+        assert text == ref_render_cyclo(r), num
+        for poly in num.values():
+            assert repr(poly) == ref_render_terms(
+                [(c, 0, le, at) for (le, at), c in poly.terms.items()])
+        numerator = ref_render_numerator(num)
+        seen["(L-1)"] += "(L-1)" in numerator
+        seen["negative"] += numerator.startswith("-")
+        seen["atoms"] += any(name in numerator for name in ATOMS)
+        seen["monomial"] += "(" not in numerator
+    assert min(seen.values()) > 100, seen
 
 
 # ---------------------------------------------------------------------------
