@@ -190,8 +190,7 @@ def _cmd_zeta_jacobian(args, out):
 def _cmd_pole(args, out):
     if args.spec:
         _exclusive(args, "spec", ["n", "p"])
-        spec = _load(args.spec, JacobianSpec, "jacobian")
-        report = pole_report(zeta_jacobian(spec))
+        report = _load(args.spec, JacobianSpec, "jacobian").pole()
     else:
         if args.n is None or args.p is None:
             raise SpecFileError("need --n and --p, or --spec FILE")

@@ -18,14 +18,18 @@ of degree at most t read off from c(0), ..., c(t)).
 
 No generic product runs per residue or per series step: times L^k is a
 shift of the L exponents, so a Jacobian residue's head is a shifted,
-scaled copy of (L-1)^t * ab_class, and the renderer's division by (L-1)
-walks only the L exponents present.
+scaled copy of (L-1)^t * ab_class.  The renderer groups the terms once
+by (z, atoms) into dense coefficient rows, each over its own range of L
+exponents, and divides every row by (L-1) with suffix sums.  The pole of
+a Jacobian's zeta needs no assembly: ``JacobianSpec.pole`` reads it off
+the denominator data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, gcd, isqrt, lcm
 
 from .dvr import _is_prime
@@ -166,7 +170,8 @@ class MotivicPoly:
 
     def __repr__(self):
         return _render_terms(
-            [(c, 0, le, at) for (le, at), c in self.terms.items()]
+            [(le + sum(e for _, e in at), 0, le, at, c, _atoms_text(at))
+             for (le, at), c in self.terms.items()]
         ) if self.terms else "0"
 
 
@@ -279,13 +284,28 @@ def _series_divide(numerator: dict, a: int, b: int, order: int) -> dict:
 
 
 def _divide_once(numerator: dict, a: int, b: int):
-    """Exact quotient of the numerator by (1 - L^a z^b), or None."""
+    """Exact quotient of the numerator by (1 - L^a z^b), or None.
+
+    The quotient's z^k coefficient is num_k + L^a q_(k-b), so each residue
+    class mod b is a chain of its own, and the division is exact when every
+    chain stops by kmax - b: the first class that does not settles it.
+    """
     if not numerator:
         return {}
     kmax = max(numerator)
-    q = _series_divide(numerator, a, b, kmax)
-    # the series terms above kmax-b are the remainder of the division
-    return q if max(q) <= kmax - b else None
+    q = {}
+    for r in range(min(b, kmax + 1)):
+        prev = None
+        for k in range(r, kmax + 1, b):
+            val = numerator.get(k)
+            if prev is not None:
+                val = _plus_shifted(val, prev, a)
+            if val:
+                if k > kmax - b:
+                    return None
+                q[k] = val
+            prev = val or None
+    return dict(sorted(q.items()))
 
 
 def reduce(r: CycloRational) -> CycloRational:
@@ -435,6 +455,14 @@ class JacobianSpec:
     def conductor(self) -> Fraction:
         return Fraction(self.n - 1, 2) + self.abelian_jumps.conductor()
 
+    def pole(self) -> "PoleReport":
+        """The unique pole of ``zeta_jacobian(self)`` read off its reduced
+        denominator, without assembling the zeta function."""
+        ec, t_max = _denominator(self)
+        if t_max < 0:
+            raise NoPole("rational function is a polynomial")
+        return PoleReport(Fraction(ec, self.e), t_max + 1)
+
 
 def jacobian_order(spec: JacobianSpec, alpha: int) -> int:
     """ord at level alpha: toric floor sum plus graded abelian jumps."""
@@ -463,20 +491,17 @@ def zeta_jacobian(spec: JacobianSpec) -> CycloRational:
     nonzero class (the others add nothing), the result is reduced: a
     residue's sum is P(x)/(1-x)^(t'+1) with P(1) = t'! * lc(c) != 0, so
     its numerator has exactly t_max - t' factors (1-x), and the residues
-    hold distinct z exponents mod e in the domain Z[L, atoms].
+    hold distinct z exponents mod e in the domain Z[L, atoms].  So the
+    pole is at e*c/e = c, of order t_max + 1; ``JacobianSpec.pole`` reports
+    it from the same ``_denominator`` without assembling anything.
     """
     n = spec.n
     e = spec.e
-    c = spec.conductor()
-    ec = e * c
-    if ec.denominator != 1:
-        raise NonIntegralExponent(f"e*c = {ec} is not an integer")
-    ec = int(ec)
+    ec, t_max = _denominator(spec)
     classes = {
         a1: (_l_minus_one_power(data.t) * data.ab_class).terms
         for a1, data in spec.divisors.items() if data.ab_class
     }
-    t_max = max((spec.divisors[a1].t for a1 in classes), default=-1)
     num = {}
     for alpha in range(1, e + 1):
         # p divides e, so a level divisible by p has no tame divisor in classes
@@ -493,6 +518,17 @@ def zeta_jacobian(spec: JacobianSpec) -> CycloRational:
                 s, m = shift + ec * i, scale * coeff
                 num[alpha + e * i] = _poly({(le + s, at): c * m for (le, at), c in cls.items()})
     return CycloRational(num, ((ec, e),) * (t_max + 1))
+
+
+def _denominator(spec: JacobianSpec) -> tuple:
+    """(e*c, t_max) of the reduced zeta's denominator (1 - L^(e*c) z^e)^(t_max+1):
+    c is the tame conductor and t_max the largest toric rank over the
+    divisors of nonzero class, -1 when there is none."""
+    ec = spec.e * spec.conductor()
+    if ec.denominator != 1:
+        raise NonIntegralExponent(f"e*c = {ec} is not an integer")
+    t_max = max((d.t for d in spec.divisors.values() if d.ab_class), default=-1)
+    return int(ec), t_max
 
 
 def _l_minus_one_power(t: int) -> MotivicPoly:
@@ -531,7 +567,9 @@ def pole_report(r: CycloRational) -> PoleReport:
     """Location a/b and residual multiplicity of the unique pole.
 
     The input is reduced first, so numerator cancellations at the pole
-    are detected rather than assumed away.
+    are detected rather than assumed away.  This is the generic route, for
+    any ``CycloRational``; for a Jacobian, ``JacobianSpec.pole`` gives the
+    same report in closed form.
     """
     r = reduce(r)
     if not r.denominator:
@@ -548,118 +586,99 @@ def pole_report(r: CycloRational) -> PoleReport:
 # canonical text rendering
 # ---------------------------------------------------------------------------
 
-def _term_sort_key(term):
-    c, z, le, atoms = term
-    total = z + le + sum(e for _, e in atoms)
-    return (total, z, le, atoms)
+def _power(base: str, e: int) -> str:
+    """base^e as rendered: nothing for e = 0, the base alone for e = 1."""
+    return (base if e == 1 else f"{base}^{e}") if e else ""
 
 
-def _render_one_term(c, z, le, atoms):
-    factors = []
-    if le:
-        factors.append("L" if le == 1 else f"L^{le}")
-    for name, e in atoms:
-        factors.append(name if e == 1 else f"{name}^{e}")
-    if z:
-        factors.append("z" if z == 1 else f"z^{z}")
-    if not factors:
-        return str(c)
-    body = "*".join(factors)
-    if c == 1:
-        return body
-    return f"{c}*{body}"
+def _atoms_text(atoms) -> str:
+    return "*".join(_power(name, e) for name, e in atoms)
 
 
-def _render_terms(flat):
-    """Sum rendering with terms in ascending degree-lex (z, L, atoms)."""
-    flat = sorted(flat, key=_term_sort_key)
+def _render_terms(terms) -> str:
+    """A sum in ascending degree-lex (z, L, atoms) order.  Each term is a
+    tuple (degree, z, L exponent, atoms, coefficient, text of its atom and
+    z factors); no two terms agree on their first four entries."""
     pieces = []
-    for idx, (c, z, le, atoms) in enumerate(flat):
-        neg = c < 0
-        body = _render_one_term(abs(c), z, le, atoms)
-        if idx == 0:
-            pieces.append(("-" if neg else "") + body)
-        else:
-            pieces.append((" - " if neg else " + ") + body)
-    return "".join(pieces)
+    for _, _, le, _, c, tail in sorted(terms):
+        body = ("L" if le == 1 else f"L^{le}") + ("*" + tail if tail else "") if le else tail
+        m = -c if c < 0 else c
+        if m != 1:
+            body = f"{m}*{body}" if body else str(m)
+        pieces.append((" - " if c < 0 else " + ") + (body or "1"))
+    out = "".join(pieces)
+    return ("-" if out[1] == "-" else "") + out[3:]
+
+
+def _divide_by_l_minus_one(rows) -> int:
+    """Divide every coefficient row by (L - 1) as often as all of them
+    allow, in place, and return that power.  ``rows`` is not empty and no
+    row is all zeros.  A row is divisible when its coefficients sum to 0;
+    the quotient's coefficient at L^k is then the sum of the row's above
+    L^k, and its lowest exponent is the row's."""
+    power = 0
+    while not any(map(sum, rows)):
+        for row in rows:
+            row[:] = list(accumulate(row[:0:-1]))[::-1]
+        power += 1
+    return power
 
 
 def _render_numerator(numerator) -> str:
-    flat = [(c, z, le, atoms) for z, poly in numerator.items()
-            for (le, atoms), c in poly.terms.items()]
-    if not flat:
-        return "0"
     # factored canonical form: content * (L-1)^b * L^a * atoms * z^k * (rest)
-    g = 0
-    for c, *_ in flat:
-        g = gcd(g, c)
-    if all(c < 0 for c, *_ in flat):
+    if not numerator:
+        return "0"
+    groups = {}
+    for z, poly in numerator.items():
+        for (le, atoms), c in poly.terms.items():
+            by_le = groups.get((z, atoms))
+            if by_le is None:
+                groups[z, atoms] = {le: c}
+            else:
+                by_le[le] = c
+    polys = [poly.terms.values() for poly in numerator.values()]
+    g = gcd(*[gcd(*cs) for cs in polys])
+    if max(map(max, polys)) < 0:
         g = -g
-    z_min = min(z for _, z, _, _ in flat)
-    l_min = min(le for _, _, le, _ in flat)
-    atom_min = dict(flat[0][3])
-    for *_, atoms in flat:
-        if not atom_min:
-            break
-        d = dict(atoms)
-        atom_min = {k: min(v, d[k]) for k, v in atom_min.items() if k in d}
-    # removing the common factors maps distinct terms to distinct keys
-    rest_terms = {
-        (z - z_min, le - l_min, tuple(
-            (k, v - atom_min.get(k, 0)) for k, v in atoms if v > atom_min.get(k, 0)
-        ) if atom_min else atoms): c // g
-        for c, z, le, atoms in flat
-    }
-    lm1_power = 0
-    while True:
-        quotient = _zpoly_div_l_minus_one(rest_terms)
-        if quotient is None:
-            break
-        rest_terms = quotient
-        lm1_power += 1
-    parts = []
-    if g != 1:
-        parts.append(str(g))
-    if lm1_power:
-        parts.append("(L-1)" if lm1_power == 1 else f"(L-1)^{lm1_power}")
-    if l_min:
-        parts.append("L" if l_min == 1 else f"L^{l_min}")
-    for name in sorted(atom_min):
-        e = atom_min[name]
-        parts.append(name if e == 1 else f"{name}^{e}")
-    if z_min:
-        parts.append("z" if z_min == 1 else f"z^{z_min}")
-    rest_flat = [(c, z, le, atoms) for (z, le, atoms), c in rest_terms.items() if c]
-    if rest_flat != [(1, 0, 0, ())]:
-        body = _render_terms(rest_flat)
+    distinct = {atoms for _, atoms in groups}
+    atom_min = dict(next(iter(distinct)))
+    for atoms in distinct:
+        atom_min = {k: min(v, e) for k, e in atoms if (v := atom_min.get(k))}
+    # per distinct atoms: the atoms left after the common ones, their text and degree
+    shown = {}
+    for atoms in distinct:
+        rest = tuple((k, e - atom_min.get(k, 0)) for k, e in atoms if e > atom_min.get(k, 0))
+        shown[atoms] = rest, _atoms_text(rest), sum(e for _, e in rest)
+    z_min = min(numerator)
+    # each (z, atoms) group is one dense row of coefficients from its own
+    # least L exponent: a row from L^0 would span every exponent below it
+    keys, rows = [], []
+    for (z, atoms), by_le in groups.items():
+        lo = min(by_le)
+        row = [0] * (max(by_le) - lo + 1)
+        for le, c in by_le.items():
+            row[le - lo] = c // g
+        keys.append((z - z_min, atoms, lo))
+        rows.append(row)
+    l_min = min(lo for *_, lo in keys)
+    lm1_power = _divide_by_l_minus_one(rows)
+    terms = []
+    for (z, atoms, lo), row in zip(keys, rows):
+        # the atom and z factors are the same along a row
+        atoms, tail, degree = shown[atoms]
+        if z:
+            tail = f"{tail}*{_power('z', z)}" if tail else _power("z", z)
+        terms += [(degree + z + le, z, le, atoms, c, tail)
+                  for le, c in enumerate(row, lo - l_min) if c]
+    parts = [str(g)] if g != 1 else []
+    parts += filter(None, (_power("(L-1)", lm1_power), _power("L", l_min),
+                           _atoms_text(sorted(atom_min.items())), _power("z", z_min)))
+    if terms != [(0, 0, 0, (), 1, "")]:
+        body = _render_terms(terms)
         # the extracted factors are all monomial-like, so a multi-term
         # remainder needs parentheses only when it is one factor of several
         parts.append(f"({body})" if parts else body)
-    if not parts:
-        return "1"
-    return "*".join(parts)
-
-
-def _zpoly_div_l_minus_one(terms):
-    """Exact quotient by (L-1) of a flat numerator, or None.  In each
-    (z, atoms) group the quotient's coefficient of L^(k-1) is the sum of
-    those of L^k and above: 0 at k = 0 when divisible, constant between
-    two exponents present."""
-    groups = {}
-    for (z, le, atoms), c in terms.items():
-        groups.setdefault((z, atoms), {})[le] = c
-    if any(sum(by_le.values()) for by_le in groups.values()):
-        return None
-    out = {}
-    for (z, atoms), by_le in groups.items():
-        exps = sorted(by_le, reverse=True)
-        carry = 0
-        for top, low in zip(exps, exps[1:]):
-            carry += by_le[top]
-            if carry:
-                for le in range(low, top):
-                    out[(z, le, atoms)] = carry
-    return out
+    return "*".join(parts) or "1"
 
 
 def render_cyclo(r: CycloRational) -> str:

@@ -714,11 +714,8 @@ class TestParserReuse:
         assert cli._build_parser() is cli._build_parser()
 
 
-README_EXAMPLES = re.findall(
-    r"^tamebc (.+?)\s+# (.+)$",
-    (Path(__file__).resolve().parent.parent / "README.md").read_text(),
-    re.MULTILINE,
-)
+ROOT = Path(__file__).resolve().parent.parent
+README_EXAMPLES = re.findall(r"^tamebc (.+?)\s+# (.+)$", (ROOT / "README.md").read_text(), re.MULTILINE)
 
 
 class TestReadmeTranscript:
@@ -726,6 +723,8 @@ class TestReadmeTranscript:
         assert len(README_EXAMPLES) >= 8
 
     @pytest.mark.parametrize("argv, expected", README_EXAMPLES)
-    def test_readme_example(self, capsys, argv, expected):
+    def test_readme_example(self, capsys, monkeypatch, argv, expected):
+        # the examples name files, such as examples.spec, from the repository root
+        monkeypatch.chdir(ROOT)
         code, out, err = invoke(capsys, *shlex.split(argv))
         assert (code, out, err) == (0, expected + "\n", "")

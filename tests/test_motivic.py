@@ -26,7 +26,7 @@ from tamebc import (
     zeta_jacobian,
 )
 
-from tamebc.motivic import _zpoly_div_l_minus_one
+from tamebc.motivic import _divide_by_l_minus_one
 
 L = MotivicPoly.L
 F = Fraction
@@ -46,13 +46,13 @@ class TestMotivicPoly:
         assert 2 + L() == L() + 2
 
     def test_divide_by_l_minus_one(self):
-        # the renderer's exact division, on flat (z, L, atoms) keys
-        def flat(poly):
-            return {(0, le, at): c for (le, at), c in poly.terms.items()}
-
-        poly = (L() - 1) ** 2 * (L(3) + 7)
-        assert _zpoly_div_l_minus_one(flat(poly)) == flat((L() - 1) * (L(3) + 7))
-        assert _zpoly_div_l_minus_one(flat(L(2) + 1)) is None
+        # the renderer's exact division, on rows of coefficients from L^0
+        rows = [[7, -14, 7, 1, -2, 1]]  # (L-1)^2 * (L^3 + 7)
+        assert _divide_by_l_minus_one(rows) == 2
+        assert rows == [[7, 0, 0, 1]]
+        rows = [[1, 0, 1]]  # L^2 + 1
+        assert _divide_by_l_minus_one(rows) == 0
+        assert rows == [[1, 0, 1]]
 
     def test_atom_names(self):
         with pytest.raises(SpecInvariantViolation):

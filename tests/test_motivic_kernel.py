@@ -33,7 +33,7 @@ from tamebc import (
 )
 from tamebc import motivic
 from tamebc.errors import DomainError
-from tamebc.motivic import _difference_numerator, _zpoly_div_l_minus_one
+from tamebc.motivic import _difference_numerator, _divide_by_l_minus_one
 
 from _mutants import mutant
 
@@ -359,6 +359,24 @@ def test_reduce_and_expand_match_on_wide_numerators():
         reduce(CycloRational({0: 1}, ((-1, 1),)))
 
 
+def test_divide_once_when_only_the_last_class_fails():
+    # the division walks the classes mod b in turn; here 0 and 1 divide
+    a, b = 2, 3
+    quotient = {0: L(1), 1: MotivicPoly.atom("A"), 2: L(5) + 1, 3: 2 * L(4)}
+    num = dict(quotient)
+    for k, poly in quotient.items():
+        num[k + b] = num.get(k + b, MotivicPoly.zero()) - L(a) * poly
+    num = {k: p for k, p in num.items() if p}
+    got = motivic._divide_once(num, a, b)
+    assert got == quotient == ref_divide_once(num, a, b)
+    assert list(got) == sorted(got)
+    # spoil only the top of the class 2 mod 3
+    num[5] = num[5] + 1
+    assert motivic._divide_once(num, a, b) is None
+    assert ref_divide_once(num, a, b) is None
+    assert reduce(CycloRational(num, ((a, b),) * 2)).denominator == ((a, b),) * 2
+
+
 # ---------------------------------------------------------------------------
 # the canonical rendering against the term-at-a-time reference
 # ---------------------------------------------------------------------------
@@ -425,18 +443,44 @@ def times_l_minus_one(terms):
     return {k: c for k, c in out.items() if c}
 
 
+def divide_rows(terms):
+    """(power, quotient) of the renderer's row division, on flat
+    {(z, L exponent, atoms): c} terms: one row per (z, atoms) group, from
+    the group's least L exponent."""
+    groups = {}
+    for (z, le, atoms), c in terms.items():
+        groups.setdefault((z, atoms), {})[le] = c
+    lows = {key: min(by_le) for key, by_le in groups.items()}
+    rows = [[by_le.get(le, 0) for le in range(lows[key], max(by_le) + 1)]
+            for key, by_le in groups.items()]
+    power = _divide_by_l_minus_one(rows)
+    quotient = {(z, le, atoms): c for ((z, atoms), lo), row in zip(lows.items(), rows)
+                for le, c in enumerate(row, lo) if c}
+    return power, quotient
+
+
+def ref_divide_fully(terms):
+    power = 0
+    while (quotient := ref_div_l_minus_one(terms)) is not None:
+        terms, power = quotient, power + 1
+    return power, terms
+
+
 def test_sparse_division_matches_the_dense_walk():
     rng = random.Random(1234)
     seen = {"divisible": 0, "not": 0}
     for _ in range(2000):
         terms = random_sparse(rng)
+        if not terms:
+            continue  # 0 is divisible by every power
         for _ in range(rng.randint(0, 3)):
             terms = times_l_minus_one(terms)
-        got = _zpoly_div_l_minus_one(terms)
-        assert got == ref_div_l_minus_one(terms), terms
-        seen["not" if got is None else "divisible"] += 1
-        if got is not None:
-            assert times_l_minus_one(got) == terms
+        power, quotient = divide_rows(terms)
+        assert (power, quotient) == ref_divide_fully(terms), terms
+        seen["divisible" if power else "not"] += 1
+        for _ in range(power):
+            quotient = times_l_minus_one(quotient)
+        assert quotient == terms
     assert min(seen.values()) > 400, seen
 
 
@@ -444,10 +488,12 @@ def test_divide_by_l_minus_one_method():
     def flat(poly):
         return {(0, le, at): c for (le, at), c in poly.terms.items()}
 
-    poly = (L() - 1) ** 3 * (L(40) - 2 * MotivicPoly.atom("A") + 5)
-    q = _zpoly_div_l_minus_one(flat(poly))
-    assert q == flat((L() - 1) ** 2 * (L(40) - 2 * MotivicPoly.atom("A") + 5))
-    assert _zpoly_div_l_minus_one(flat(L(40) + L(3) - 1)) is None
+    rest = L(40) - 2 * MotivicPoly.atom("A") + 5
+    assert divide_rows(flat((L() - 1) ** 3 * rest)) == (3, flat(rest))
+    assert divide_rows(flat(L(40) + L(3) - 1)) == (0, flat(L(40) + L(3) - 1))
+    # one row that is not divisible keeps every row as it was
+    rows = [[-1, 1], [1, 1]]
+    assert _divide_by_l_minus_one(rows) == 0 and rows == [[-1, 1], [1, 1]]
 
 
 # ---------------------------------------------------------------------------
@@ -493,9 +539,9 @@ def test_one_product_per_tame_divisor(product_counter):
 MUTANTS = {
     "binomial-sign": ("comb(t, k) * (-1) ** (t - k)", "comb(t, k) * (-1) ** k"),
     "ec-times-i-plus-1": ("s, m = shift + ec * i,", "s, m = shift + ec * (i + 1),"),
-    "run-bound": ("for le in range(low, top):", "for le in range(low, top + 1):"),
-    "top-coefficient-divisible": ("if any(sum(by_le.values()) for by_le in groups.values()):",
-                                  "if any(by_le[max(by_le)] for by_le in groups.values()):"),
+    "run-bound": ("accumulate(row[:0:-1])", "accumulate(row[::-1])"),
+    "top-coefficient-divisible": ("while not any(map(sum, rows)):",
+                                  "while not any(row[-1] for row in rows):"),
 }
 # the mutant kernel takes the real classes' specs and returns comparable values
 SHARED = ("MotivicPoly", "CycloRational", "JacobianSpec", "ToricDivisorData", "PoleReport")

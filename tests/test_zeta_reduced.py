@@ -5,7 +5,9 @@ divisors with a nonzero class, skips residues whose class is 0 and does
 not call ``reduce``.  On seeded specs, zero and all-zero classes included,
 ``reduce`` must change nothing, the expansion must equal the per-level sum
 built from the graded jumps, and the pole order must be 1 + t_max over
-the nonzero classes.
+the nonzero classes, both from the zeta and from the closed-form
+``JacobianSpec.pole``, which ``pole --spec`` calls without assembling the
+zeta.
 """
 
 import random
@@ -25,7 +27,8 @@ from tamebc import (
     tame_conductor,
     torus_jumps,
 )
-from tamebc import motivic
+from tamebc import cli, motivic
+from tamebc.specfile import render_text
 
 from _mutants import mutant
 
@@ -42,7 +45,7 @@ def random_class(rng):
     return MotivicPoly(terms)
 
 
-def random_spec(rng):
+def random_spec(rng, jacobian_spec=JacobianSpec):
     """A spec with no, some or only zero classes; a zero class often
     carries the largest toric rank."""
     n, p = rng.choice(WILD)
@@ -60,7 +63,7 @@ def random_spec(rng):
         t = t_top if zero and rng.random() < 0.5 else rng.randint(0, t_top)
         cls = MotivicPoly.zero() if zero else random_class(rng)
         table[a] = (t, rng.randint(0, g_a - t), rng.randint(1, 5), cls)
-    return JacobianSpec(n, p, e_tilde, jumps, table)
+    return jacobian_spec(n, p, e_tilde, jumps, table)
 
 
 def per_level_series(spec, order):
@@ -82,22 +85,31 @@ def per_level_series(spec, order):
     return out
 
 
-def zeta_mismatches(zeta_jacobian, seed, count, tally=None):
+def pole_of(call):
+    """(s, order) of the report ``call()`` returns, or None on NoPole."""
+    try:
+        report = call()
+    except NoPole:
+        return None
+    return report.s, report.order
+
+
+def zeta_mismatches(module, seed, count, tally=None):
+    """Specs, built with ``module.JacobianSpec``, where ``module``'s zeta is
+    not reduced, its expansion differs from the per-level sum, or the pole
+    of the zeta or the closed-form ``spec.pole()`` differs from the
+    conductor and 1 + t_max over the nonzero classes (NoPole without one)."""
     rng = random.Random(seed)
     bad = []
     for _ in range(count):
-        spec = random_spec(rng)
-        z = zeta_jacobian(spec)
+        spec = random_spec(rng, module.JacobianSpec)
+        z = module.zeta_jacobian(spec)
         ranks = [d.t for d in spec.divisors.values() if d.ab_class]
+        want = None
         if ranks:
-            report = pole_report(z)
-            pole = (report.s, report.order)
             want = (Fraction(spec.n - 1, 2) + tame_conductor(spec.abelian_jumps), 1 + max(ranks))
-        else:
-            with pytest.raises(NoPole):
-                pole_report(z)
-            pole = want = None
-        if reduce(z) != z or z.expand(ORDER) != per_level_series(spec, ORDER) or pole != want:
+        if (reduce(z) != z or z.expand(ORDER) != per_level_series(spec, ORDER)
+                or pole_of(lambda: pole_report(z)) != want or pole_of(spec.pole) != want):
             bad.append(spec)
         if tally is not None:
             all_ranks = [d.t for d in spec.divisors.values()]
@@ -113,23 +125,80 @@ def zeta_mismatches(zeta_jacobian, seed, count, tally=None):
 @pytest.mark.parametrize("seed", range(3))
 def test_jacobian_zeta_is_reduced_and_matches_the_levels(seed):
     tally = {}
-    assert zeta_mismatches(motivic.zeta_jacobian, 900 + seed, 120, tally) == []
+    assert zeta_mismatches(motivic, 900 + seed, 120, tally) == []
     for key in ("all-zero", "some-zero", "zero-on-top"):
         assert tally.get(key, 0) >= 5, tally
 
 
-T_MAX = "t_max = max((spec.divisors[a1].t for a1 in classes), default=-1)"
-# the mutant zeta takes the real classes' specs and returns comparable values
-SHARED = ("MotivicPoly", "CycloRational", "JacobianSpec", "ToricDivisorData")
+def test_closed_form_pole_message():
+    spec = JacobianSpec(2, 2, 1, [Fraction(0)], {1: (1, 0, 1, 0)})
+    with pytest.raises(NoPole, match="^rational function is a polynomial$"):
+        spec.pole()
+    with pytest.raises(NoPole, match="^rational function is a polynomial$"):
+        pole_report(motivic.zeta_jacobian(spec))
+
+
+# ---------------------------------------------------------------------------
+# pole --spec reads the pole off the spec
+# ---------------------------------------------------------------------------
+
+def test_pole_spec_assembles_no_zeta(monkeypatch, tmp_path, capsys):
+    calls = []
+    real = motivic.zeta_jacobian
+
+    def counting(spec):
+        calls.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(motivic, "zeta_jacobian", counting)
+    monkeypatch.setattr(cli, "zeta_jacobian", counting)
+    rng = random.Random(31)
+    codes = []
+    for i in range(40):
+        spec = random_spec(rng)
+        path = tmp_path / f"jacobian{i}.spec"
+        path.write_text(render_text(spec))
+        try:
+            want = (0, f"{pole_report(real(spec))}\n", "")
+        except NoPole as exc:
+            want = (1, "", f"NoPole: {exc}\n")
+        code = cli.run(["pole", "--spec", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == want
+        codes.append(code)
+    assert calls == []
+    assert codes.count(1) >= 5 and codes.count(0) >= 5, codes
+    # control: the counter sees the assembly of zeta-jacobian --spec
+    assert cli.run(["zeta-jacobian", "--spec", str(path)]) == 0
+    assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# mutants of the denominator data and of the closed-form pole
+# ---------------------------------------------------------------------------
+
+T_MAX = "t_max = max((d.t for d in spec.divisors.values() if d.ab_class), default=-1)"
+MUTANTS = {
+    "t-max-over-every-divisor": (T_MAX, "t_max = max(d.t for d in spec.divisors.values())"),
+    "pole-over-e-tilde": ("Fraction(ec, self.e)", "Fraction(ec, self.e_tilde)"),
+    "pole-without-no-pole": ("if t_max < 0:", "if t_max < -1:"),
+}
+# the mutant builds its specs with its own JacobianSpec, whose pole() is
+# the mutated one, and returns comparable values
+SHARED = ("MotivicPoly", "CycloRational", "ToricDivisorData")
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_mutant_is_caught(name):
+    assert zeta_mismatches(mutant(motivic, *MUTANTS[name], SHARED), 900, 120)
 
 
 def test_t_max_over_every_divisor_is_caught():
-    edit = "t_max = max(d.t for d in spec.divisors.values())"
-    bad = zeta_mismatches(mutant(motivic, T_MAX, edit, SHARED).zeta_jacobian, 900, 120)
+    bad = zeta_mismatches(mutant(motivic, *MUTANTS["t-max-over-every-divisor"], SHARED), 900, 120)
     # caught also where some class is nonzero, not only on the zero function
     assert any(d.ab_class for spec in bad for d in spec.divisors.values())
 
 
 def test_unmutated_copy_passes():
-    # control: the mismatches above come from the edit, not from the copy
-    assert zeta_mismatches(mutant(motivic, T_MAX, T_MAX, SHARED).zeta_jacobian, 900, 120) == []
+    # control: the mismatches above come from the edits, not from the copy
+    assert zeta_mismatches(mutant(motivic, T_MAX, T_MAX, SHARED), 900, 120) == []
