@@ -640,6 +640,7 @@ def _render_numerator(numerator) -> str:
     g = gcd(*[gcd(*cs) for cs in polys])
     if max(map(max, polys)) < 0:
         g = -g
+    # the atoms common to every group, each at its least exponent
     distinct = {atoms for _, atoms in groups}
     atom_min = dict(next(iter(distinct)))
     for atoms in distinct:

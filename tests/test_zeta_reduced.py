@@ -130,14 +130,6 @@ def test_jacobian_zeta_is_reduced_and_matches_the_levels(seed):
         assert tally.get(key, 0) >= 5, tally
 
 
-def test_closed_form_pole_message():
-    spec = JacobianSpec(2, 2, 1, [Fraction(0)], {1: (1, 0, 1, 0)})
-    with pytest.raises(NoPole, match="^rational function is a polynomial$"):
-        spec.pole()
-    with pytest.raises(NoPole, match="^rational function is a polynomial$"):
-        pole_report(motivic.zeta_jacobian(spec))
-
-
 # ---------------------------------------------------------------------------
 # pole --spec reads the pole off the spec
 # ---------------------------------------------------------------------------
