@@ -289,6 +289,8 @@ def _divide_once(numerator: dict, a: int, b: int):
     The quotient's z^k coefficient is num_k + L^a q_(k-b), so each residue
     class mod b is a chain of its own, and the division is exact when every
     chain stops by kmax - b: the first class that does not settles it.
+    (``_series_divide`` walks k in ascending order, which finds that only
+    after the whole series, and per class it would slow ``expand``.)
     """
     if not numerator:
         return {}
@@ -297,14 +299,11 @@ def _divide_once(numerator: dict, a: int, b: int):
     for r in range(min(b, kmax + 1)):
         prev = None
         for k in range(r, kmax + 1, b):
-            val = numerator.get(k)
-            if prev is not None:
-                val = _plus_shifted(val, prev, a)
-            if val:
+            prev = _plus_shifted(numerator.get(k), prev, a) if prev else numerator.get(k)
+            if prev:
                 if k > kmax - b:
                     return None
-                q[k] = val
-            prev = val or None
+                q[k] = prev
     return dict(sorted(q.items()))
 
 
@@ -601,7 +600,7 @@ def _render_terms(terms) -> str:
     z factors); no two terms agree on their first four entries."""
     pieces = []
     for _, _, le, _, c, tail in sorted(terms):
-        body = ("L" if le == 1 else f"L^{le}") + ("*" + tail if tail else "") if le else tail
+        body = _power("L", le) + ("*" + tail if tail else "") if le else tail
         m = -c if c < 0 else c
         if m != 1:
             body = f"{m}*{body}" if body else str(m)
