@@ -32,6 +32,7 @@ from .dvr import (
 )
 from .errors import DomainError, PrecisionExhausted, SpecFileError
 from .jumps import (
+    Torus,
     _torus_conductor,
     character_decomposition,
     d_jumps_closed_form,
@@ -40,7 +41,7 @@ from .jumps import (
     parse_torus,
     torus_jumps,
 )
-from .lattice import is_isogeny, jumps_non_invariance_demo, klein_four_example_map
+from .lattice import LatticeMap, is_isogeny, jumps_non_invariance_demo, klein_four_example_map
 from .motivic import (
     JacobianSpec,
     component_count,
@@ -51,6 +52,7 @@ from .motivic import (
 )
 from .pushout import (
     DEFAULT_DEGREE_BOUND,
+    GluingSpec,
     PolyAlgebra,
     TwoPointsGluing,
     WildPointGluing,
@@ -61,9 +63,6 @@ from .pushout import (
     tor_defect,
 )
 from . import specfile
-from .lattice import LatticeMap
-from .jumps import Torus
-from .pushout import GluingSpec
 
 
 # the largest default order of oracle-cokernel; N = 20,087 takes 0.04-0.07 s and 20 MB

@@ -43,44 +43,33 @@ MAX_TERM_PAIRS = 1 << 19
 # generic ring-expression parser
 # ---------------------------------------------------------------------------
 
+# a blank run, a digit run, a name, an operator, or any other character
+_TOKEN = re.compile(r"\s+|([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*^()])|(\S)")
+
+
 def _tokenize(text):
-    """Integers are ASCII digit runs and names ASCII identifiers; any other
-    character, a non-ASCII digit or letter included, is rejected, and so
-    are parentheses nested deeper than ``MAX_NESTING``."""
+    """Integers are ASCII digit runs and names ASCII identifiers, between
+    blanks (``str.isspace()``); any other character is rejected, and so are
+    parentheses nested deeper than ``MAX_NESTING``.  Blank runs match alone:
+    as a token's prefix, a trailing run would be rescanned at each position."""
     tokens = []
-    i = depth = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isascii() and ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isascii() and text[j].isdigit():
-                j += 1
+    depth = 0
+    for match in _TOKEN.finditer(text):
+        digits, name, op, other = match.groups()
+        if digits:
             try:
-                tokens.append(("int", int(text[i:j])))
+                tokens.append(("int", int(digits)))
             except ValueError:  # past sys.get_int_max_str_digits()
-                raise SpecFileError(f"integer literal of {j - i} digits is too long") from None
-            i = j
-            continue
-        if ch.isascii() and (ch.isalpha() or ch == "_"):
-            j = i
-            while j < len(text) and text[j].isascii() and (
-                text[j].isalnum() or text[j] == "_"
-            ):
-                j += 1
-            tokens.append(("name", text[i:j]))
-            i = j
-            continue
-        if ch in "+-*^()":
-            depth += (ch == "(") - (ch == ")")
+                raise SpecFileError(f"integer literal of {len(digits)} digits is too long") from None
+        elif name:
+            tokens.append(("name", name))
+        elif op:
+            depth += (op == "(") - (op == ")")
             if depth > MAX_NESTING:
                 raise SpecFileError(f"parentheses nested deeper than {MAX_NESTING} levels")
-            tokens.append((ch, ch))
-            i += 1
-            continue
-        raise SpecFileError(f"unexpected character {ch!r} in expression")
+            tokens.append((op, op))
+        elif other:
+            raise SpecFileError(f"unexpected character {other!r} in expression")
     tokens.append(("end", None))
     return tokens
 

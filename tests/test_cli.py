@@ -716,6 +716,12 @@ class TestParserReuse:
 
 ROOT = Path(__file__).resolve().parent.parent
 README_EXAMPLES = re.findall(r"^tamebc (.+?)\s+# (.+)$", (ROOT / "README.md").read_text(), re.MULTILINE)
+# the README's zeta-jacobian --spec examples.spec line, which shows no answer
+EXAMPLES_JACOBIAN_ZETA = (
+    "(2*(L-1)*L^2*z*(2*E - 3*L^3*z^2 + 3*L^4*z^2 + 10*L^6*E*z^4 + 8*L^9*E*z^6"
+    " - 18*L^12*z^8 + 18*L^13*z^8 - 8*L^15*E*z^10 - 10*L^18*E*z^12 - 3*L^21*z^14"
+    " + 3*L^22*z^14 - 2*L^24*E*z^16))/(1 - L^9*z^6)^3"
+)
 
 
 class TestReadmeTranscript:
@@ -728,3 +734,10 @@ class TestReadmeTranscript:
         monkeypatch.chdir(ROOT)
         code, out, err = invoke(capsys, *shlex.split(argv))
         assert (code, out, err) == (0, expected + "\n", "")
+
+    def test_readme_jacobian_zeta(self, capsys, monkeypatch):
+        # the exact line, so that a renderer that reorders its terms fails
+        monkeypatch.chdir(ROOT)
+        code, out, err = invoke(capsys, "zeta-jacobian", "--spec", "examples.spec")
+        assert (code, out, err) == (0, EXAMPLES_JACOBIAN_ZETA + "\n", "")
+
