@@ -25,6 +25,7 @@ Supported torus atoms:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -324,6 +325,10 @@ def character_decomposition(dj: DJumps) -> CharacterDecomp:
 # text syntax for torus expressions
 # ---------------------------------------------------------------------------
 
+# after blanks, "product(", a degree's name and digits, an atom or a separator
+_TORUS_TOKEN = re.compile(r"\s*(?:(product\()|(res:|resquot:)([0-9]*)|(gm|norm1)|([,)]))")
+
+
 def parse_torus(text: str) -> Torus:
     """Parse a torus expression.
 
@@ -334,48 +339,43 @@ def parse_torus(text: str) -> Torus:
     Products nest at most ``MAX_NESTING`` deep.
     """
     s = text.strip()
-    node, rest = _parse_torus_expr(s)
-    if rest.strip():
-        raise SpecInvariantViolation(f"trailing input in torus expression: {rest!r}")
-    return node
-
-
-def _parse_torus_expr(s: str, depth: int = 0):
-    s = s.lstrip()
-    if s.startswith("product("):
-        if depth == MAX_NESTING:
+    pos, products = 0, []  # the factor lists of the open products
+    while True:
+        m = _TORUS_TOKEN.match(s, pos)
+        if not m or m[5]:
             raise SpecInvariantViolation(
-                f"product(...) nested deeper than {MAX_NESTING} levels")
-        rest = s[len("product("):]
-        factors = []
-        while True:
-            node, rest = _parse_torus_expr(rest, depth + 1)
-            factors.append(node)
-            rest = rest.lstrip()
-            if rest.startswith(","):
-                rest = rest[1:]
-                continue
-            if rest.startswith(")"):
-                return Product(tuple(factors)), rest[1:]
-            raise SpecInvariantViolation("expected ',' or ')' in product(...)")
-    for name, cls in (("res:", Res), ("resquot:", ResQuot)):
-        if s.startswith(name):
-            rest = s[len(name):]
-            i = 0
-            while i < len(rest) and rest[i].isascii() and rest[i].isdigit():
-                i += 1
-            if i == 0:
+                f"cannot parse torus expression at {s[pos:].lstrip()[:20]!r}")
+        pos = m.end()
+        product, name, digits, atom, _ = m.groups()
+        if product:
+            if len(products) == MAX_NESTING:
+                raise SpecInvariantViolation(
+                    f"product(...) nested deeper than {MAX_NESTING} levels")
+            products.append([])
+            continue
+        if name:
+            if not digits:
                 raise SpecInvariantViolation(f"expected integer after {name!r}")
             try:
-                degree = int(rest[:i])
+                node = (Res if name == "res:" else ResQuot)(int(digits))
             except ValueError:  # past sys.get_int_max_str_digits()
                 raise SpecInvariantViolation(
-                    f"degree of {i} digits after {name!r} is too long") from None
-            return cls(degree), rest[i:]
-    for name, cls in (("gm", Gm), ("norm1", NormOneQuadratic)):
-        if s.startswith(name):
-            return cls(), s[len(name):]
-    raise SpecInvariantViolation(f"cannot parse torus expression at {s[:20]!r}")
+                    f"degree of {len(digits)} digits after {name!r} is too long") from None
+        else:
+            node = Gm() if atom == "gm" else NormOneQuadratic()
+        while products:  # the node is a factor: "," reads the next, ")" closes
+            products[-1].append(node)
+            m = _TORUS_TOKEN.match(s, pos)
+            if not m or not m[5]:
+                raise SpecInvariantViolation("expected ',' or ')' in product(...)")
+            pos = m.end()
+            if m[5] == ",":
+                break
+            node = Product(tuple(products.pop()))
+        else:
+            if pos < len(s):
+                raise SpecInvariantViolation(f"trailing input in torus expression: {s[pos:]!r}")
+            return node
 
 
 def render_torus(spec: Torus) -> str:

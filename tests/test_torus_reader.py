@@ -12,6 +12,7 @@ degrees past ``int()``'s digit limit.
 
 import random
 import sys
+import time
 
 import pytest
 
@@ -204,3 +205,13 @@ def test_sweep_mixes_every_piece():
         assert piece in joined
     for depth in (MAX_NESTING, MAX_NESTING + 1):
         assert any(t.startswith("product(" * depth + "gm") for t in texts)
+
+
+def test_long_product_takes_linear_time():
+    # a reader that copies the rest of the text at each token takes about
+    # 10 s at this size
+    text = "product(" + ", ".join(["gm"] * 199_999 + ["res:3"]) + ")"
+    start = time.perf_counter()
+    spec = parse_torus(text)
+    assert time.perf_counter() - start < 2.0
+    assert len(spec.factors) == 200_000 and spec.factors[-1] == Res(3)
