@@ -280,7 +280,7 @@ def order_function(spec: Torus, d: int) -> int:
 def _torus_conductor(spec: Torus) -> Fraction:
     """The tame conductor of a torus in closed form: each atom (n, s)
     sums v/n over s <= v < n to (n-1)/2."""
-    return sum((Fraction(n - 1, 2) for n, _ in _atoms(spec)), Fraction(0))
+    return Fraction(sum(n - 1 for n, _ in _atoms(spec)), 2)
 
 
 def order_recursion_check(spec: Torus, alpha: int, q: int) -> bool:

@@ -184,7 +184,8 @@ def _poly(terms: dict) -> MotivicPoly:
 
 
 def _check_atom_name(name):
-    if not isinstance(name, str) or name == "L" or not name.isidentifier():
+    # the name rule of spec files, so that renderings read back; z is the zeta variable
+    if not (isinstance(name, str) and name.isascii() and name.isidentifier()) or name in ("L", "z"):
         raise SpecInvariantViolation(f"bad atom name {name!r}")
 
 

@@ -102,11 +102,16 @@ class _ExprParser:
         return value
 
     def expr(self):
-        value = self.term()
+        # the signed terms, summed in pairs so that no long partial sum is
+        # copied at each term; a pair keeps its left term's sign
+        terms = [(True, self.term())]
         while self.peek() in "+-":
             op, _ = self.next()
-            value = (self.add if op == "+" else self.sub)(value, self.term())
-        return value
+            terms.append((op == "+", self.term()))
+        while len(terms) > 1:  # an odd last term waits for the next round
+            terms = [(s, (self.add if s == t else self.sub)(a, b))
+                     for (s, a), (t, b) in zip(terms[::2], terms[1::2])] + terms[len(terms) & ~1:]
+        return terms[0][1]
 
     def term(self):
         value = self.factor()

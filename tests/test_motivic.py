@@ -55,10 +55,13 @@ class TestMotivicPoly:
         assert rows == [[1, 0, 1]]
 
     def test_atom_names(self):
-        with pytest.raises(SpecInvariantViolation):
-            MotivicPoly.atom("L")
-        with pytest.raises(SpecInvariantViolation):
-            MotivicPoly.atom("bad name")
+        # L and z are the Lefschetz class and the zeta variable; a name is
+        # ASCII, like the names of spec files
+        for name in ("L", "bad name", "z", "é", "ｚ", "", "1A", 7):
+            with pytest.raises(SpecInvariantViolation):
+                MotivicPoly.atom(name)
+            with pytest.raises(SpecInvariantViolation):
+                MotivicPoly({(0, ((name, 1),)): 1})
 
     def test_constant_hashes_as_its_int(self):
         for c in (0, 3, -7):

@@ -16,6 +16,7 @@ from tamebc import (
     Product,
     Res,
     SpecFileError,
+    SpecInvariantViolation,
     TruncSeries,
     TwoPointsGluing,
     WildPointGluing,
@@ -152,6 +153,19 @@ class TestRoundTrips:
             },
         )
         assert parse_text(render_text(spec)) == spec
+
+    def test_jacobian_atom_names(self):
+        # every atom the ring accepts reads back from render_text
+        read_back = 0
+        for name in ("A", "E", "x1", "_b", "Zeta", "Lz", "pi", "t", "if", "z", "é", "ｚ"):
+            try:
+                ab_class = MotivicPoly.atom(name) * 2 + L(2)
+            except SpecInvariantViolation:
+                continue
+            spec = JacobianSpec(2, 2, 3, [F(0)], {1: (1, 0, 1, L() - 1), 3: (0, 1, 2, ab_class)})
+            assert parse_text(render_text(spec)) == spec, name
+            read_back += 1
+        assert read_back == 9
 
     def test_gluings(self):
         cfg = DVRConfig(3, 24)
