@@ -88,7 +88,10 @@ DEFAULT_DEGREE_BOUND = 12
 
 @dataclass(frozen=True)
 class PolyAlgebra:
-    """One-variable polynomials over the truncated ring, degree <= D."""
+    """One-variable polynomials over the truncated ring, degree <= D, as
+    coefficient tuples (low to high) with no trailing zero.  ``polynomial``
+    validates its input; ``add`` and ``mul`` take such tuples, check every
+    coefficient's configuration and work on the nonzero coefficients only."""
 
     config: DVRConfig
     degree_bound: int = DEFAULT_DEGREE_BOUND
@@ -114,32 +117,42 @@ class PolyAlgebra:
             if not isinstance(c, TruncSeries) or c.config != self.config:
                 raise ConfigMismatch("coefficient over a different configuration")
             out.append(c)
+        return self._trimmed(out)
+
+    def _trimmed(self, out):
         while out and out[-1].is_zero():
             out.pop()
         if len(out) - 1 > self.degree_bound:
-            raise DegreeBound(
-                f"degree {len(out) - 1} exceeds the bound {self.degree_bound}"
-            )
+            raise DegreeBound(f"degree {len(out) - 1} exceeds the bound {self.degree_bound}")
         return tuple(out)
 
+    def _terms(self, f):
+        """The (degree, coefficient) pairs of f's nonzero coefficients."""
+        config, terms = self.config, []
+        for i, c in enumerate(f):
+            if c.config is not config and c.config != config:
+                raise ConfigMismatch("coefficient over a different configuration")
+            if not c.is_zero():
+                terms.append((i, c))
+        return terms
+
     def add(self, f, g):
-        n = max(len(f), len(g))
         zero = TruncSeries.zero(self.config)
-        return self.polynomial(
-            [
-                (f[i] if i < len(f) else zero) + (g[i] if i < len(g) else zero)
-                for i in range(n)
-            ]
-        )
+        out = [zero] * max(len(f), len(g))
+        for i, c in self._terms(f) + self._terms(g):
+            out[i] = c if out[i] is zero else out[i] + c
+        return self._trimmed(out)
 
     def mul(self, f, g):
         if not f or not g:
             return ()
-        out = [TruncSeries.zero(self.config)] * (len(f) + len(g) - 1)
-        for i, a in enumerate(f):
-            for j, b in enumerate(g):
-                out[i + j] = out[i + j] + a * b
-        return self.polynomial(out)
+        zero = TruncSeries.zero(self.config)
+        out, right = [zero] * (len(f) + len(g) - 1), self._terms(g)
+        for i, a in self._terms(f):
+            for j, b in right:
+                c = out[i + j]
+                out[i + j] = a * b if c is zero else c + a * b
+        return self._trimmed(out)
 
 
 class GluingSpec:

@@ -158,7 +158,8 @@ class _ExprParser:
             if kind != ")":
                 raise SpecFileError("unbalanced parentheses in expression")
             return value
-        raise SpecFileError(f"unexpected token {val!r} in expression")
+        raise SpecFileError("unexpected end of expression" if kind == "end"
+                            else f"unexpected token {val!r} in expression")
 
 
 def parse_motivic_expr(text: str) -> MotivicPoly:
@@ -191,19 +192,20 @@ def parse_okt_expr(text: str, algebra: PolyAlgebra):
     returns the coefficient tuple (low to high).  Every subexpression
     must stay within the algebra's degree bound."""
     config = algebra.config
+    pi, t = (TruncSeries.uniformizer(config),), (TruncSeries.zero(config), TruncSeries.one(config))
 
     def const(c):
-        return algebra.constant(TruncSeries.from_int(c, config))
+        return (TruncSeries.from_int(c, config),) if c % config.p else ()
 
     def var(name):
         if name == "pi":
-            return algebra.constant(TruncSeries.uniformizer(config))
+            return pi
         if name == "t":
-            return algebra.monomial(1)
+            return t
         raise SpecFileError(f"unknown variable {name!r}; expected pi or t")
 
     def sub(f, g):
-        return algebra.add(f, algebra.polynomial([-c for c in g]))
+        return algebra.add(f, tuple(-c for c in g))
 
     return _ExprParser(_tokenize(text), const, var, algebra.add, sub, algebra.mul).parse()
 

@@ -263,11 +263,21 @@ class TestInputErrors:
         ("pole --n 2", "need --n and --p, or --spec FILE"),
         ("pushout --check membership --gluing two-points --poly '1 2'",
          "trailing tokens in expression"),
+        ("pushout --check membership --gluing two-points --poly ''",
+         "unexpected end of expression"),
+        ("pushout --check generators --gluing wild-point --eisenstein 't^2 +'",
+         "unexpected end of expression"),
     ])
     def test_message(self, capsys, jacobian_file, argv, error):
         argv = shlex.split(argv.format(jacobian=jacobian_file))
         expected = f"SpecFileError: {error.format(jacobian=jacobian_file)}\n"
         assert invoke(capsys, *argv) == (1, "", expected)
+
+    def test_end_of_spec_expression(self, capsys, tmp_path):
+        path = tmp_path / "open_sum.spec"
+        path.write_text(JACOBIAN_TEXT.replace("ab_class = 1", "ab_class = E +"))
+        assert invoke(capsys, "zeta-jacobian", "--spec", str(path)) == (
+            1, "", "SpecFileError: unexpected end of expression\n")
 
 
 DEEP_TORUS = "product(" * 400 + "gm" + ")" * 400

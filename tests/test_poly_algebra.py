@@ -8,7 +8,10 @@ and ``parse_okt_expr`` must give the same coefficients, or raise the same
 error class with the same message, on a seeded sweep over several rings
 and degree bounds.  ``add`` and ``mul`` called directly must raise
 ``ConfigMismatch`` wherever the reference does: on wholly foreign, mixed
-and foreign-zero inputs and on a foreign tail.
+and foreign-zero inputs and on a foreign tail.  A counter on
+``TruncSeries.__mul__`` shows that no call takes more series products than
+the reference, and three mutants of ``pushout`` show that these checks can
+fail.
 """
 
 import random
@@ -24,9 +27,11 @@ from tamebc import (
     PolyAlgebra,
     SpecFileError,
     TruncSeries,
+    pushout,
     specfile,
 )
 from tamebc.specfile import parse_okt_expr
+from _mutants import mutant
 from test_expr_sums import random_expr
 
 
@@ -122,8 +127,9 @@ PER_RING = 126  # 48 rings: 6,048 random expressions
 
 
 def sweep(products, algebra_class=PolyAlgebra, per_ring=PER_RING):
-    """Tally of outcomes; fails at the first expression whose value or error
-    differs from the reference's, or that takes more products."""
+    """Tally of outcomes and of the products each side took; fails at the
+    first expression whose value or error differs from the reference's, or
+    that takes more products."""
     rng = random.Random(23)
     tally = Counter()
     for p, n, d in RINGS:
@@ -136,14 +142,35 @@ def sweep(products, algebra_class=PolyAlgebra, per_ring=PER_RING):
             assert got[:2] == want[:2], (p, n, d, text)
             assert got[2] <= want[2], (p, n, d, text, got[2], want[2])
             tally[got[0]] += 1
+            tally["products", "reference"] += want[2]
+            tally["products", "algebra"] += got[2]
     return tally
 
 
 def test_parse_matches_reference(monkeypatch):
     tally = sweep(Products(monkeypatch))
+    products = {key[1]: tally.pop(key) for key in list(tally) if key[0] == "products"}
     assert sum(tally.values()) >= 6_000
     assert set(tally) == {"ok", "DegreeBound", "SpecFileError"}
     assert min(tally.values()) > 500, tally
+    # 202,737 products in the reference, 68,468 here
+    assert 2 * products["algebra"] < products["reference"], products
+
+
+# the oracle's dense P of degree 11: every middle coefficient pi + pi^2 + 2*pi^4
+DENSE_P = " + ".join(f"(pi + pi^2 + 2*pi^4)*t^{i}" for i in range(1, 11)) + " + t^11 - pi"
+
+
+@pytest.mark.parametrize("text, products, reference", [
+    ("t^3", 3, 12),  # 1*t, t*t, t*t^2: one product per pair of nonzero coefficients
+    ("t^3 + 2*pi*t - 3*pi", 6, 16),  # and 2*pi, 2*pi*t and 3*pi
+    (DENSE_P, 112, 516),
+])
+def test_products_taken(monkeypatch, text, products, reference):
+    count = Products(monkeypatch)
+    algebra = PolyAlgebra(DVRConfig(5, 64), 14)
+    assert count.outcome(ref_parse_okt_expr, text, algebra)[2] == reference
+    assert count.outcome(parse_okt_expr, text, algebra)[2] == products
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +227,10 @@ def direct_cases(seed=5, count=600):
 
 
 def direct_outcome(products, call, f, g):
-    kind, value, _ = products.outcome(call, f, g)
+    kind, value, taken = products.outcome(call, f, g)
     # the reference raised ConfigMismatch from the series operations too, with
     # their own message, so only the class is compared for it
-    return (kind, None) if kind == "ConfigMismatch" else (kind, value)
+    return (kind, None if kind == "ConfigMismatch" else value), taken
 
 
 def check_direct_calls(products, algebra_class=PolyAlgebra, degree_bound=12):
@@ -211,9 +238,10 @@ def check_direct_calls(products, algebra_class=PolyAlgebra, degree_bound=12):
     tally = Counter()
     for f, g in direct_cases():
         for name, ref_op in (("add", ref_add), ("mul", ref_mul)):
-            want = direct_outcome(products, lambda f, g: ref_op(ref, f, g), f, g)
-            got = direct_outcome(products, getattr(algebra, name), f, g)
+            want, most = direct_outcome(products, lambda f, g: ref_op(ref, f, g), f, g)
+            got, taken = direct_outcome(products, getattr(algebra, name), f, g)
             assert got == want, (name, f, g)
+            assert taken <= most, (name, f, g)
             tally[name, got[0]] += 1
     return tally
 
@@ -222,3 +250,30 @@ def test_direct_calls_match_reference(monkeypatch):
     tally = check_direct_calls(Products(monkeypatch))
     assert tally["add", "ConfigMismatch"] >= 20 and tally["mul", "ConfigMismatch"] >= 20
     assert tally["mul", "DegreeBound"] > 0 and tally["mul", "ok"] > 100
+
+
+# ---------------------------------------------------------------------------
+# the checks above can fail
+# ---------------------------------------------------------------------------
+
+MUTANTS = {
+    "skip-non-units": ("if not c.is_zero():", "if c.is_unit():"),
+    "no-degree-check": ("if len(out) - 1 > self.degree_bound:", "if False:"),
+    "no-config-check": ("if c.config is not config and c.config != config:", "if False:"),
+}
+
+
+def check_all(products, algebra_class):
+    check_direct_calls(products, algebra_class)
+    sweep(products, algebra_class, per_ring=20)
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_checks_catch_mutant(monkeypatch, name):
+    with pytest.raises(AssertionError):
+        check_all(Products(monkeypatch), mutant(pushout, *MUTANTS[name]).PolyAlgebra)
+
+
+def test_unmutated_copy_passes(monkeypatch):
+    same = MUTANTS["no-config-check"][0]
+    check_all(Products(monkeypatch), mutant(pushout, same, same).PolyAlgebra)
