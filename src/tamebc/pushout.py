@@ -127,7 +127,7 @@ class PolyAlgebra:
         return tuple(out)
 
     def _terms(self, f):
-        """The (degree, coefficient) pairs of f's nonzero coefficients."""
+        """(degree, coefficient) of f's nonzero coefficients; zeros' configs are checked too."""
         config, terms = self.config, []
         for i, c in enumerate(f):
             if c.config is not config and c.config != config:
