@@ -459,6 +459,7 @@ class TameContext:
         return _packed_series(_pack(out, ext._slots), ext.p - 1, ext)
 
 
+@dataclass(frozen=True, slots=True)
 class EisensteinPoly:
     """Monic Eisenstein polynomial t^n + a_(n-1) t^(n-1) + ... + a_0.
 
@@ -466,14 +467,15 @@ class EisensteinPoly:
     one and the others valuation at least one.
     """
 
-    __slots__ = ("coeffs", "config")
+    coeffs: tuple
+    config: DVRConfig
 
-    def __init__(self, coeffs, config: DVRConfig):
-        coeffs = tuple(coeffs)
+    def __post_init__(self):
+        coeffs = tuple(self.coeffs)
         if not coeffs:
             raise SpecInvariantViolation("Eisenstein polynomial needs degree >= 1")
         for c in coeffs:
-            if not isinstance(c, TruncSeries) or c.config != config:
+            if not isinstance(c, TruncSeries) or c.config != self.config:
                 raise ConfigMismatch("coefficient over a different configuration")
         if coeffs[0].valuation != 1:
             raise SpecInvariantViolation(
@@ -484,8 +486,7 @@ class EisensteinPoly:
                 raise SpecInvariantViolation(
                     f"coefficient of t^{i} is a unit; polynomial is not Eisenstein"
                 )
-        self.coeffs = coeffs
-        self.config = config
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def degree(self) -> int:
@@ -499,13 +500,6 @@ class EisensteinPoly:
         a0 = -TruncSeries.uniformizer(config)
         rest = [TruncSeries.zero(config)] * (n - 1)
         return cls([a0] + rest, config)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, EisensteinPoly)
-            and self.config == other.config
-            and self.coeffs == other.coeffs
-        )
 
     def __repr__(self):
         parts = [f"t^{self.degree}" if self.degree > 1 else "t"]

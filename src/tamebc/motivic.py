@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, gcd, isqrt, lcm
+from math import comb, gcd, lcm
 
 from .dvr import _is_prime
 from .errors import (
@@ -159,20 +159,26 @@ class MotivicPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise SpecInvariantViolation("negative power of a polynomial")
-        result = MotivicPoly.from_int(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _repeated_squaring(self, n, MotivicPoly.__mul__) if n else MotivicPoly.from_int(1)
 
     def __repr__(self):
         return _render_terms(
             [(le + sum(e for _, e in at), 0, le, at, c, _atoms_text(at))
              for (le, at), c in self.terms.items()]
         ) if self.terms else "0"
+
+
+def _repeated_squaring(base, n: int, mul):
+    """base^n for n >= 1 by ``mul``, from the lowest set bit of n and with no
+    square past the top one: bit_length(n) - 1 squares, popcount(n) - 1 products."""
+    while not n & 1:
+        base, n = mul(base, base), n >> 1
+    value = base
+    while n > 1:
+        base, n = mul(base, base), n >> 1
+        if n & 1:
+            value = mul(value, base)
+    return value
 
 
 def _poly(terms: dict) -> MotivicPoly:
@@ -225,6 +231,7 @@ def _plus_shifted(p, q, a):
 # rational functions with cyclotomic-style denominators
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, slots=True)
 class CycloRational:
     """numerator(z) / product of (1 - L^a z^b) factors.
 
@@ -232,32 +239,26 @@ class CycloRational:
     a sorted tuple of (a, b) pairs, one entry per multiplicity.
     """
 
-    __slots__ = ("numerator", "denominator")
+    numerator: dict
+    denominator: tuple = ()
 
-    def __init__(self, numerator, denominator=()):
+    def __post_init__(self):
         num = {}
-        for k, poly in dict(numerator).items():
+        for k, poly in dict(self.numerator).items():
             poly = MotivicPoly.coerce(poly)
             if int(k) < 0:
                 raise SpecInvariantViolation("negative z exponent in numerator")
             if not poly.is_zero():
                 num[int(k)] = poly
         den = []
-        for a, b in denominator:
+        for a, b in self.denominator:
             if b < 1:
                 raise SpecInvariantViolation("denominator factor needs b >= 1")
             if a < 0:
                 raise SpecInvariantViolation("negative L exponent is outside Z[L]")
             den.append((int(a), int(b)))
-        self.numerator = num
-        self.denominator = tuple(sorted(den))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CycloRational)
-            and self.numerator == other.numerator
-            and self.denominator == other.denominator
-        )
+        object.__setattr__(self, "numerator", num)
+        object.__setattr__(self, "denominator", tuple(sorted(den)))
 
     def expand(self, order: int) -> dict:
         """Formal power-series coefficients of z^0 .. z^order."""
@@ -385,6 +386,7 @@ class ToricDivisorData:
             raise SpecInvariantViolation("component count must be >= 1")
 
 
+@dataclass(frozen=True, slots=True)
 class JacobianSpec:
     """Input data for the zeta function of a semiabelian Jacobian.
 
@@ -395,58 +397,44 @@ class JacobianSpec:
     ``ToricDivisorData``.
     """
 
-    __slots__ = ("n", "p", "e_tilde", "abelian_jumps", "divisors")
+    n: int
+    p: int
+    e_tilde: int
+    abelian_jumps: JumpMultiset
+    divisors: dict
 
-    def __init__(self, n, p, e_tilde, abelian_jumps, divisors):
+    def __post_init__(self):
         try:
-            _purely_wild_degree(n, p)
+            _purely_wild_degree(self.n, self.p)
         except NotPurelyWild as exc:
             raise SpecInvariantViolation(f"wild {exc}") from None
-        if e_tilde < 1:
+        if self.e_tilde < 1:
             raise SpecInvariantViolation("stabilization index must be >= 1")
-        if not isinstance(abelian_jumps, JumpMultiset):
-            abelian_jumps = JumpMultiset(abelian_jumps)
-        for j in abelian_jumps:
-            if e_tilde % j.denominator != 0:
+        jumps = self.abelian_jumps
+        if not isinstance(jumps, JumpMultiset):
+            jumps = JumpMultiset(jumps)
+        for j in jumps:
+            if self.e_tilde % j.denominator != 0:
                 raise SpecInvariantViolation(
-                    f"jump {j} has denominator not dividing e_tilde={e_tilde}"
+                    f"jump {j} has denominator not dividing e_tilde={self.e_tilde}"
                 )
-        e = lcm(e_tilde, n)
-        expected = {
-            a
-            for k in range(1, isqrt(e) + 1) if e % k == 0
-            for a in (k, e // k) if gcd(a, p) == 1
-        }
         table = {}
-        for key, value in dict(divisors).items():
+        for key, value in dict(self.divisors).items():
             if not isinstance(value, ToricDivisorData):
                 value = ToricDivisorData(*value)
             table[int(key)] = value
-        if set(table) != expected:
+        if not _are_tame_divisors(table, self.e, self.p):
             raise SpecInvariantViolation(
-                f"divisor table keys {sorted(table)} != tame divisors {sorted(expected)} of e={e}"
+                f"divisor table keys {sorted(table)} are not the tame divisors of e={self.e}"
             )
-        g_a = len(abelian_jumps)
+        g_a = len(jumps)
         for a, data in table.items():
             if data.t + data.u > g_a:
                 raise SpecInvariantViolation(
                     f"t+u = {data.t + data.u} exceeds abelian dimension {g_a} at divisor {a}"
                 )
-        self.n = n
-        self.p = p
-        self.e_tilde = e_tilde
-        self.abelian_jumps = abelian_jumps
-        self.divisors = table
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, JacobianSpec)
-            and self.n == other.n
-            and self.p == other.p
-            and self.e_tilde == other.e_tilde
-            and self.abelian_jumps == other.abelian_jumps
-            and self.divisors == other.divisors
-        )
+        object.__setattr__(self, "abelian_jumps", jumps)
+        object.__setattr__(self, "divisors", table)
 
     @property
     def e(self) -> int:
@@ -462,6 +450,28 @@ class JacobianSpec:
         if t_max < 0:
             raise NoPole("rational function is a polynomial")
         return PoleReport(Fraction(ec, self.e), t_max + 1)
+
+
+def _are_tame_divisors(keys, e: int, p: int) -> bool:
+    """Whether ``keys`` are the divisors of e prime to p, with no search:
+    the keys must divide e's tame part e', those above 1 that no smaller
+    one taken divides must be primes that exhaust e', and the keys must
+    number the product of v_q(e') + 1 over those primes."""
+    while e % p == 0:
+        e //= p
+    rest, count, primes = e, 1, []
+    for k in sorted(keys):
+        if k < 1 or e % k:
+            return False
+        if k > 1 and all(k % q for q in primes):
+            if not _is_prime(k):
+                return False
+            primes.append(k)
+            v = 0
+            while rest % k == 0:
+                rest, v = rest // k, v + 1
+            count *= v + 1
+    return rest == 1 and count == len(keys)
 
 
 def jacobian_order(spec: JacobianSpec, alpha: int) -> int:

@@ -22,7 +22,7 @@ from .dvr import DEFAULT_PRECISION, DVRConfig, EisensteinPoly, TruncSeries
 from .errors import SpecFileError, SpecInvariantViolation
 from .jumps import MAX_NESTING, JumpMultiset, Torus, parse_torus, render_torus
 from .lattice import FiniteAbelianGroup, GLattice, LatticeMap
-from .motivic import JacobianSpec, MotivicPoly
+from .motivic import JacobianSpec, MotivicPoly, _repeated_squaring
 from .pushout import (
     DEFAULT_DEGREE_BOUND,
     GluingSpec,
@@ -34,9 +34,11 @@ from .pushout import (
 __all__ = ["parse_text", "render_text", "parse_file", "parse_motivic_expr",
            "parse_okt_expr"]
 
-# term pairs that the products of one Z[L, atoms] value may take in all:
-# (L + 1)^1000 takes 415,666 and (L + A + B + 1)^30 takes 701,706
+# term pairs that the products of one Z[L, atoms] value may take in all, and bits
+# that a coefficient of a product may have: (L + 1)^1000 takes 415,657 pairs and
+# 996 bits, (L + A + B + 1)^30 takes 701,696 pairs, a 4,300-digit literal 14,300 bits
 MAX_TERM_PAIRS = 1 << 19
+MAX_COEFF_BITS = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -136,15 +138,7 @@ class _ExprParser:
         kind, n = self.next()
         if kind != "int":
             raise SpecFileError("exponent must be a literal integer")
-        # repeated squaring; the square after the top bit is never used
-        value = self.const(1)
-        while n:
-            if n & 1:
-                value = self.mul(value, base)
-            n >>= 1
-            if n:
-                base = self.mul(base, base)
-        return value
+        return _repeated_squaring(base, n, self.mul) if n else self.const(1)
 
     def base(self):
         kind, val = self.next()
@@ -165,7 +159,8 @@ class _ExprParser:
 def parse_motivic_expr(text: str) -> MotivicPoly:
     """Parse an element of Z[L, atoms]; any identifier other than L
     becomes an opaque atom.  The products may pair at most
-    ``MAX_TERM_PAIRS`` terms in all."""
+    ``MAX_TERM_PAIRS`` terms in all, and no product may have a coefficient
+    of more than ``MAX_COEFF_BITS`` bits."""
     pairs = 0
 
     def mul(f, g):
@@ -174,7 +169,12 @@ def parse_motivic_expr(text: str) -> MotivicPoly:
         if pairs > MAX_TERM_PAIRS:
             raise SpecFileError(f"expression needs at least {pairs} term products, "
                                 f"past the limit of {MAX_TERM_PAIRS}")
-        return f * g
+        h = f * g
+        bits = max(map(int.bit_length, h.terms.values()), default=0)
+        if bits > MAX_COEFF_BITS:
+            raise SpecFileError(f"expression has a coefficient of {bits} bits, "
+                                f"past the limit of {MAX_COEFF_BITS}")
+        return h
 
     def var(name):
         if name == "L":
@@ -473,10 +473,7 @@ def _render_jacobian(spec: JacobianSpec) -> str:
     for alpha in sorted(spec.divisors):
         data = spec.divisors[alpha]
         lines.append(f"[divisor {alpha}]")
-        lines.append(f"t = {data.t}")
-        lines.append(f"u = {data.u}")
-        lines.append(f"phi_tilde = {data.phi_tilde}")
-        lines.append(f"ab_class = {data.ab_class!r}")
+        lines += [f"{key} = {getattr(data, key)!r}" for key in _DIVISOR_KEYS]
     return "\n".join(lines) + "\n"
 
 

@@ -175,6 +175,7 @@ class TestPushoutCommands:
     @pytest.mark.parametrize("poly, expected", [
         ("t", "member: false, not_in_pi_fiber: skipped, square_in_pi_fiber: skipped\n"),
         ("1", "member: true, not_in_pi_fiber: true, square_in_pi_fiber: false\n"),
+        ("pi", "member: true, not_in_pi_fiber: false, square_in_pi_fiber: skipped\n"),
     ])
     def test_nilpotent_with_poly(self, capsys, poly, expected):
         code, out, err = invoke(

@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction
 from math import gcd
@@ -40,6 +41,22 @@ class TestMotivicPoly:
         assert (a + b) * a == a * a + b * a
         assert a - a == MotivicPoly.zero()
         assert a ** 3 == a * a * a
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6, 7, 8, 16, 30, 31, 33])
+    def test_power_products(self, monkeypatch, n):
+        # squares up to the top bit of n and one product per further set bit:
+        # none by 1, and none past the top bit
+        calls = []
+        real = MotivicPoly.__mul__
+        monkeypatch.setattr(MotivicPoly, "__mul__", lambda f, g: calls.append(1) or real(f, g))
+        a = L() + MotivicPoly.atom("A") + 1
+        value = a ** n
+        monkeypatch.undo()
+        assert len(calls) == max(n.bit_length() - 1, 0) + max(bin(n).count("1") - 1, 0)
+        want = MotivicPoly.from_int(1)
+        for _ in range(n):
+            want = want * a
+        assert value == want
 
     def test_int_coercion(self):
         assert L() * 0 == MotivicPoly.zero()
@@ -217,14 +234,49 @@ class TestJacobianSpec:
             JacobianSpec(2, 2, 3, [F(0), F(1, 3)], {1: (0, 0, 1, 1)})
 
     def test_tame_divisors_of_a_large_index(self):
-        # e = lcm(3^25, 2): the tame divisors are the 26 powers of 3, found
-        # by trial division up to isqrt(e) rather than a scan up to e
+        # e = lcm(3^25, 2): the tame divisors are the 26 powers of 3, checked
+        # without a scan up to e
         start = time.perf_counter()
         with pytest.raises(SpecInvariantViolation):
             JacobianSpec(2, 2, 3**25, [], {})
         assert time.perf_counter() - start < 1.0
         spec = JacobianSpec(2, 2, 3**25, [], {3**i: (0, 0, 1, 1) for i in range(26)})
         assert sorted(spec.divisors) == [3**i for i in range(26)]
+
+    def test_tame_divisors_of_a_wide_index(self):
+        # e = lcm(2^80, 5): 81 sections, checked without a search for divisors
+        start = time.perf_counter()
+        spec = JacobianSpec(5, 5, 2**80, [], {2**i: (0, 0, 1, int(i == 0)) for i in range(81)})
+        assert time.perf_counter() - start < 1.0
+        assert spec.pole() == PoleReport(F(2), 1)
+
+    def test_divisor_tables_match_trial_division(self):
+        # random tables near the tame divisors of e, against a search up to e
+        rng = random.Random(24)
+        valid = 0
+        for _ in range(3000):
+            p = rng.choice((2, 3, 5))
+            e_tilde = rng.randrange(1, 400)
+            e = e_tilde * p // gcd(e_tilde, p)
+            tame = {a for a in range(1, e + 1) if e % a == 0 and a % p}
+            keys = set(tame)
+            for _ in range(rng.choice((0, 0, 1, 2))):
+                roll = rng.random()
+                if roll < 0.4 and len(keys) > 1:
+                    keys.discard(rng.choice(sorted(keys)))
+                elif roll < 0.7:
+                    keys.add(rng.randrange(-1, 2 * e + 2))
+                else:  # swap a divisor for a product of divisors
+                    keys.discard(rng.choice(sorted(keys)))
+                    keys.add(rng.choice(sorted(tame)) * rng.choice(sorted(tame)))
+            divisors = {a: (0, 0, 1, 1) for a in keys}
+            if keys == tame:
+                valid += 1
+                assert sorted(JacobianSpec(p, p, e_tilde, [], divisors).divisors) == sorted(tame)
+            else:
+                with pytest.raises(SpecInvariantViolation, match=f"are not the tame divisors of e={e}$"):
+                    JacobianSpec(p, p, e_tilde, [], divisors)
+        assert 1000 < valid < 2500
 
     def test_component_count(self):
         spec = simple_spec()

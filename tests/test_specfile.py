@@ -93,7 +93,7 @@ class TestExpressions:
     def test_motivic_products_are_bounded(self):
         # each further power squares a class of thousands of terms
         start = time.perf_counter()
-        with pytest.raises(SpecFileError, match="701706 term products"):
+        with pytest.raises(SpecFileError, match="701696 term products"):
             parse_motivic_expr("(L + A + B + 1)^30")
         with pytest.raises(SpecFileError, match="term products"):
             parse_text(JACOBIAN_TEXT.replace("ab_class = 1", "ab_class = (L + A + B + 1)^30"))
@@ -104,6 +104,21 @@ class TestExpressions:
         assert len(value.terms) == comb(23, 3)
         # a rendered class only multiplies monomials
         assert parse_motivic_expr(str(value)) == value
+
+    def test_motivic_coefficients_are_bounded(self):
+        # one term, so no term-pair bound applies; each square doubles its size
+        start = time.perf_counter()
+        for text in ("3^99999999", "(2*L)^99999999"):
+            with pytest.raises(SpecFileError, match=r"coefficient of \d+ bits, past the limit of 65536"):
+                parse_motivic_expr(text)
+        with pytest.raises(SpecFileError, match="past the limit of 65536"):
+            parse_text(JACOBIAN_TEXT.replace("ab_class = 1", "ab_class = 3^99999999"))
+        assert time.perf_counter() - start < 1.0
+        # within the bound: a 4,300-digit literal, and a product of 65,536 bits
+        assert parse_motivic_expr("9" * 4300 + "*L") == int("9" * 4300) * L()
+        assert parse_motivic_expr("2^65535*L") == 2 ** 65535 * L()
+        with pytest.raises(SpecFileError, match="65537 bits"):
+            parse_motivic_expr("2^65536*L")
 
     def test_bad_tokens(self):
         with pytest.raises(SpecFileError):
