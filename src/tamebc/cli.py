@@ -4,7 +4,10 @@ Every library operation is reachable through a subcommand with
 deterministic ASCII output: rationals print as a/b, multisets sorted
 and comma separated, zeta functions in the canonical rendering.  Exit
 codes: 0 success, 1 domain error (the error class name goes to
-stderr), 2 usage error.
+stderr), 2 usage error.  A call that starts with a known subcommand is
+parsed by that subcommand's parser alone; the top-level parser reads
+every other argv, and any with arguments left over, so its usage text
+and errors are argparse's own.
 
 Environment: TAMEBC_PRECISION overrides the default truncation order of
 the valuation-ring arithmetic, TAMEBC_DEGREE_BOUND the default slice
@@ -44,8 +47,8 @@ from .jumps import (
 from .lattice import LatticeMap, is_isogeny, jumps_non_invariance_demo, klein_four_example_map
 from .motivic import (
     JacobianSpec,
+    _induced_torus_pole,
     component_count,
-    pole_report,
     render_cyclo,
     zeta_induced_torus,
     zeta_jacobian,
@@ -194,7 +197,7 @@ def _cmd_pole(args, out):
     else:
         if args.n is None or args.p is None:
             raise SpecFileError("need --n and --p, or --spec FILE")
-        report = pole_report(zeta_induced_torus(args.n, args.p))
+        report = _induced_torus_pole(args.n, args.p)
     print(report, file=out)
 
 
@@ -287,6 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="exact tame base-change invariants",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # run() parses a known command with its own parser
 
     def add(name, fn, **kwargs):
         p = sub.add_parser(name, **kwargs)
@@ -365,10 +369,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(parser, argv):
+    """The namespace ``parser.parse_args(argv)`` gives.  A known command's
+    own parser reads the rest of argv, as the subparsers action would; any
+    other argv, or one with arguments left over, takes the full parser."""
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return parser.parse_args(argv)
+
+
 def run(argv) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(parser, sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

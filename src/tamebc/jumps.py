@@ -113,12 +113,22 @@ class Product(Torus):
 
 class _Sorted:
     """A sorted tuple ``entries`` read as a multiset, equal to a container
-    of the same type and ``_key`` (subclasses add their other fields)."""
+    of the same type and ``_key`` (subclasses add their other fields).
+    Fields are read-only: only ``__init__`` sets them, past its checks."""
 
     __slots__ = ("entries",)
 
     def _key(self):
         return self.entries
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), (self.entries,)
 
     def __eq__(self, other):
         return type(other) is type(self) and self._key() == other._key()
@@ -146,7 +156,7 @@ class JumpMultiset(_Sorted):
         for v in vals:
             if not 0 <= v.numerator < v.denominator:
                 raise SpecInvariantViolation(f"jump {v} outside [0,1)")
-        self.entries = vals
+        object.__setattr__(self, "entries", vals)
 
     def union(self, other: "JumpMultiset") -> "JumpMultiset":
         return JumpMultiset(self.entries + other.entries)
@@ -170,11 +180,14 @@ class DJumps(_Sorted):
         for v in vals:
             if not 0 <= v <= d - 1:
                 raise SpecInvariantViolation(f"d-jump {v} outside [0, {d - 1}]")
-        self.entries = vals
-        self.d = d
+        object.__setattr__(self, "entries", vals)
+        object.__setattr__(self, "d", d)
 
     def _key(self):
         return self.entries, self.d
+
+    def __reduce__(self):
+        return type(self), self._key()
 
     def order(self) -> int:
         return sum(self.entries)

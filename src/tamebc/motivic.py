@@ -592,6 +592,14 @@ def pole_report(r: CycloRational) -> PoleReport:
     return PoleReport(ratios.pop(), len(r.denominator))
 
 
+def _induced_torus_pole(n: int, p: int) -> PoleReport:
+    """``pole_report(zeta_induced_torus(n, p))`` in closed form: the reduced
+    zeta's one denominator factor (1 - L^(n(n-1)/2) z^n) puts the pole at
+    s = (n-1)/2, of order 1."""
+    _purely_wild_degree(n, p)
+    return PoleReport(Fraction(n - 1, 2), 1)
+
+
 # ---------------------------------------------------------------------------
 # canonical text rendering
 # ---------------------------------------------------------------------------

@@ -260,7 +260,7 @@ def _split_lines(text: str):
         if not key:
             raise SpecFileError(f"line {lineno}: empty key")
         if key in fields:
-            where = f"[{section}]" if section else "top level"
+            where = "top level" if section is None else f"[{section}]"
             raise SpecFileError(f"line {lineno}: duplicate key {key!r} in {where}")
         fields[key] = value
     return sections

@@ -134,6 +134,20 @@ def test_sweep_matches_the_one_pass_reference(spec_dir):
     assert set(codes) == {0, 1, 2} and min(codes.values()) >= 200, codes
 
 
+def test_the_namespace_is_the_full_parsers(spec_dir):
+    parser = cli._build_parser()
+    parsed = 0
+    for argv in sweep_argvs(26, 1000, spec_dir):
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                want = vars(parser.parse_args(argv))
+        except SystemExit:
+            continue
+        assert vars(cli._parse(parser, argv)) == want, argv
+        parsed += 1
+    assert parsed >= 300, parsed
+
+
 def test_none_reads_sys_argv(spec_dir, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["tamebc", "d-jumps", "--n", "3", "--d", "7"])
     assert outcome(cli.run, None) == outcome(reference_run, None) == (0, "0, 2, 4\n", "")
@@ -155,3 +169,41 @@ def test_usage_shapes(spec_dir, argv, first, last):
     lines = err.splitlines()
     assert (code, out) == (2, "")
     assert lines[0].startswith(first) and lines[-1].startswith(last), err
+
+
+WELL_FORMED = [
+    ["d-jumps", "--n", "3", "--d", "7"],
+    ["pole", "--n", "2", "--p", "2"],
+    ["pushout", "--check", "generators", "--gluing", "wild-point", "--p", "3",
+     "--eisenstein", "t^2 - pi"],
+    ["isogeny", "--demo"],
+    ["d-jumps", "-h"],
+    ["d-jumps", "--n", "3"],
+]
+
+
+def test_a_known_command_skips_the_top_level_parser(spec_dir, monkeypatch):
+    parser = cli._build_parser()
+    calls = []
+    real = parser.parse_known_args
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(parser, "parse_known_args", counting)
+    codes = [outcome(cli.run, argv)[0] for argv in WELL_FORMED]
+    assert codes == [0, 0, 0, 0, 0, 2] and calls == []
+    # control: a leftover argument, an unknown command and an empty argv reach it
+    for argv in (WELL_FORMED[0] + ["extra"], ["bogus"], []):
+        assert outcome(cli.run, argv)[0] == 2
+    assert len(calls) == 3
+
+
+def test_a_cleared_cache_leaves_no_stale_table(spec_dir, monkeypatch):
+    old = cli._build_parser()
+    cli._build_parser.cache_clear()
+    parser = cli._build_parser()
+    assert parser is not old and parser.commands is not old.commands
+    monkeypatch.setattr(old.commands["d-jumps"], "parse_known_args", None)
+    assert outcome(cli.run, WELL_FORMED[0]) == (0, "0, 2, 4\n", "")

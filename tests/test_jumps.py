@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -262,6 +264,31 @@ class TestContainers:
         assert DJumps([0], 1) != JumpMultiset([0])
         assert DJumps([0, 2], 7) != DJumps([0, 2], 8)
         assert len({DJumps([1], 3), CharacterDecomp([1], 3), DJumps([1], 3)}) == 2
+
+    @pytest.mark.parametrize("make, field, value", [
+        (lambda: JumpMultiset([0]), "entries", (F(3, 2),)),
+        (lambda: DJumps([0, 2], 7), "entries", (5,)),
+        (lambda: DJumps([0, 2], 7), "d", 1),
+        (lambda: CharacterDecomp([0, 2], 7), "entries", (9,)),
+        (lambda: CharacterDecomp([0, 2], 7), "d", 1),
+    ], ids=["jumps-entries", "d-jumps-entries", "d-jumps-d", "characters-entries",
+            "characters-d"])
+    def test_fields_are_read_only(self, make, field, value):
+        container = make()
+        before = (repr(container), hash(container), str(container))
+        with pytest.raises(AttributeError):
+            setattr(container, field, value)
+        with pytest.raises(AttributeError):
+            delattr(container, field)
+        assert (repr(container), hash(container), str(container)) == before
+
+    def test_copies_rebuild_through_init(self):
+        for container in (JumpMultiset([F(1, 2), 0]), DJumps([4, 0, 2], 7),
+                          CharacterDecomp([9, -1], 7)):
+            for twin in (copy.copy(container), copy.deepcopy(container),
+                         pickle.loads(pickle.dumps(container))):
+                assert type(twin) is type(container) and twin == container
+                assert repr(twin) == repr(container)
 
     def test_union_keeps_level_and_kind(self):
         assert type(CharacterDecomp([1], 3).union(CharacterDecomp([5], 3))) is CharacterDecomp

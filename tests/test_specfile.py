@@ -318,6 +318,26 @@ class TestEmptySections:
         with pytest.raises(SpecFileError, match=r"^top level: unknown keys \['extra'\]"):
             parse_text("kind = torus\nextra = 1\ntorus = gm\n")
 
+    def test_divisor_keys_past_the_primality_bound_are_refused(self):
+        # docs/specfile.md: a valid table whose tame part has a prime factor at
+        # or above the deterministic Miller-Rabin bound is refused, naming both
+        big = 2 ** 89 - 1  # a Mersenne prime above the bound
+        text = (f"kind = jacobian\nn = 2\np = 2\ne_tilde = {big}\nabelian_jumps = none\n"
+                "[divisor 1]\nt = 0\nu = 0\nphi_tilde = 1\nab_class = 1\n"
+                f"[divisor {big}]\nt = 0\nu = 0\nphi_tilde = 1\nab_class = 0\n")
+        message = f"^{big} is beyond the primality bound 3317044064679887385961981$"
+        with pytest.raises(SpecFileError, match=message):
+            parse_text(text)
+
+    @pytest.mark.parametrize("header, where", [("[ ]", r"\[\]"), ("[]", r"\[\]"),
+                                               ("[0]", r"\[0\]")])
+    def test_duplicate_keys_name_their_section(self, header, where):
+        with pytest.raises(SpecFileError, match=r"^line 3: duplicate key 'torus' in top level$"):
+            parse_text("kind = torus\ntorus = gm\ntorus = gm\n")
+        # an empty header opens a section named "", which is not the top level
+        with pytest.raises(SpecFileError, match=rf"^line 4: duplicate key 'a' in {where}$"):
+            parse_text(f"kind = torus\n{header}\na = 1\na = 2\n")
+
 
 class TestNumbers:
     """Integers are ``-?[0-9]+`` and rationals ``-?[0-9]+(/[0-9]+)?``

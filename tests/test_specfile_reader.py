@@ -86,7 +86,7 @@ def ref_split_lines(text):
         if not key:
             raise SpecFileError(f"line {lineno}: empty key")
         if key in seen[section]:
-            where = f"[{section}]" if section else "top level"
+            where = "top level" if section is None else f"[{section}]"
             raise SpecFileError(f"line {lineno}: duplicate key {key!r} in {where}")
         seen[section].add(key)
         entries.append((section, key, value))

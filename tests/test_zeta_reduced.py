@@ -7,9 +7,12 @@ not call ``reduce``.  On seeded specs, zero and all-zero classes included,
 built from the graded jumps, and the pole order must be 1 + t_max over
 the nonzero classes, both from the zeta and from the closed-form
 ``JacobianSpec.pole``, which ``pole --spec`` calls without assembling the
-zeta.
+zeta.  ``pole --n --p`` likewise reads the induced torus's pole off its
+degree.
 """
 
+import contextlib
+import io
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -17,6 +20,7 @@ from math import gcd, lcm
 import pytest
 
 from tamebc import (
+    DomainError,
     JacobianSpec,
     MotivicPoly,
     NoPole,
@@ -163,6 +167,51 @@ def test_pole_spec_assembles_no_zeta(monkeypatch, tmp_path, capsys):
     # control: the counter sees the assembly of zeta-jacobian --spec
     assert cli.run(["zeta-jacobian", "--spec", str(path)]) == 0
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# pole --n --p reads the pole off the degree
+# ---------------------------------------------------------------------------
+
+PURELY_WILD = [(p ** k, p) for p in (2, 3, 5, 7, 11, 13) for k in range(1, 9) if p ** k <= 400]
+
+
+def generic_pole(n, p):
+    """The pole of ``pole --n --p`` by the generic route: assemble the
+    induced torus's zeta and reduce it."""
+    return pole_report(motivic.zeta_induced_torus(n, p))
+
+
+@pytest.mark.parametrize("n, p", PURELY_WILD + [(1, 2), (6, 2), (2, 4), (2, 1), (12, 3)])
+def test_induced_torus_pole_matches_the_generic_route(n, p):
+    try:
+        want = (0, f"{generic_pole(n, p)}\n", "")
+    except DomainError as exc:
+        want = (1, "", f"{type(exc).__name__}: {exc}\n")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(["pole", "--n", str(n), "--p", str(p)])
+    assert (code, out.getvalue(), err.getvalue()) == want
+
+
+def test_pole_n_p_assembles_no_zeta(monkeypatch, capsys):
+    calls = []
+    real = motivic.zeta_induced_torus
+
+    def counting(n, p):
+        calls.append((n, p))
+        return real(n, p)
+
+    monkeypatch.setattr(motivic, "zeta_induced_torus", counting)
+    monkeypatch.setattr(cli, "zeta_induced_torus", counting)
+    for n, p in PURELY_WILD:
+        assert cli.run(["pole", "--n", str(n), "--p", str(p)]) == 0
+    assert cli.run(["pole", "--n", str(2 ** 40), "--p", "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "s=1099511627775/2, order=1"
+    assert calls == []
+    # control: the counter sees the assembly of zeta-torus
+    assert cli.run(["zeta-torus", "--n", "4", "--p", "2"]) == 0
+    assert calls == [(4, 2)]
 
 
 # ---------------------------------------------------------------------------
