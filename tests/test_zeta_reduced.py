@@ -11,8 +11,6 @@ zeta.  ``pole --n --p`` likewise reads the induced torus's pole off its
 degree.
 """
 
-import contextlib
-import io
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -183,15 +181,14 @@ def generic_pole(n, p):
 
 
 @pytest.mark.parametrize("n, p", PURELY_WILD + [(1, 2), (6, 2), (2, 4), (2, 1), (12, 3)])
-def test_induced_torus_pole_matches_the_generic_route(n, p):
+def test_induced_torus_pole_matches_the_generic_route(n, p, capsys):
     try:
         want = (0, f"{generic_pole(n, p)}\n", "")
     except DomainError as exc:
         want = (1, "", f"{type(exc).__name__}: {exc}\n")
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.run(["pole", "--n", str(n), "--p", str(p)])
-    assert (code, out.getvalue(), err.getvalue()) == want
+    code = cli.run(["pole", "--n", str(n), "--p", str(p)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == want
 
 
 def test_pole_n_p_assembles_no_zeta(monkeypatch, capsys):
