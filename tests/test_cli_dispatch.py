@@ -2,8 +2,9 @@
 parser, one ``parser.parse_args(argv)``: exit codes, stdout and stderr
 agree on a seeded sweep of argvs built from every subcommand and option,
 with the argparse edge cases (help, ``--``, ``--opt=value``, abbreviated
-options, negative numbers, missing values, unknown commands and
-options).  The sweep runs on every Python that CI runs."""
+options, negative numbers, string values that start with ``-`` or are
+empty, repeated options, missing values, unknown commands and options).
+The sweep runs on every Python that CI runs."""
 
 import contextlib
 import io
@@ -59,18 +60,19 @@ VALUES = {
     "--d": ["1", "5", "7", "9", "0", "-3", "x"],
     "--p": ["2", "3", "5", "1", "4", "x"],
     "--precision": ["16", "32", "0", "-1", "x"],
-    "--torus": ["res:4", "gm", "product(gm, norm1)", "resquot:3", "res:", "bad"],
-    "--eisenstein": ["t^2 - pi", "t^3 + pi*t - pi", "t^2", "t^2 +"],
+    "--torus": ["res:4", "gm", "product(gm, norm1)", "resquot:3", "res:", "bad", "-gm", ""],
+    "--eisenstein": ["t^2 - pi", "t^3 + pi*t - pi", "t^2", "t^2 +", "-pi + t^2", ""],
     "--check": ["membership", "nilpotent", "tor-defect", "generators", "base-change", "bogus"],
     "--gluing": ["two-points", "wild-point", "x"],
     "--degree-bound": ["6", "4", "0"],
-    "--poly": ["t^2 - t", "pi", "1 + t", "t^2 +"],
+    "--poly": ["t^2 - t", "pi", "1 + t", "t^2 +", "-t", ""],
     "--target": ["k", "2", "3", "x"],
     "--alpha": ["1", "3", "0"],
 }
 # tokens dropped into a command's argv; abbreviations carry their values
 EDGES = [["-h"], ["--help"], ["--"], ["-3"], ["-"], [""], ["x"], ["--bogus"], ["-x"],
-         ["--prec", "16"], ["--he"], ["--eis", "t^2 - pi"], ["--n=3"], ["--d=9"]]
+         ["--prec", "16"], ["--he"], ["--eis", "t^2 - pi"], ["--n=3"], ["--d=9"],
+         ["--n", "3", "--n", "4"], ["--demo", "--demo"], ["--demo", "x"]]
 UNKNOWN = ["bogus", "d-j", "D-JUMPS", "zeta", "-3", "-", "", "x", "--", "-h", "--help",
            "--n=3", "--bogus"]
 
@@ -88,7 +90,7 @@ def command_options():
 def sweep_argvs(seed, count, spec_dir):
     rng = random.Random(seed)
     values = dict(VALUES, **{"--spec": [f"{spec_dir}/{name}" for name in SPECS]
-                             + [f"{spec_dir}/missing.spec"]})
+                             + [f"{spec_dir}/missing.spec", "-", ""]})
     commands = command_options()
     names = sorted(commands)
     argvs = [[], ["-h"], ["--help"], ["--"]]
@@ -125,13 +127,25 @@ def spec_dir(tmp_path, monkeypatch):
     return tmp_path
 
 
+# the argv shapes where a reader other than argparse's would most easily differ
+SHAPES = [("--poly", "-t"), ("--eisenstein", "-pi + t^2"), ("--torus", "-gm"), ("--spec", "-"),
+          ("--poly", ""), ("--eisenstein", ""), ("--torus", ""), ("--spec", ""),
+          ("--n", "3", "--n", "4"), ("--demo", "--demo"), ("--demo", "x")]
+
+
+def shapes_in(argv):
+    return {s for s in SHAPES for i in range(len(argv)) if tuple(argv[i:i + len(s)]) == s}
+
+
 def test_sweep_matches_the_one_pass_reference(spec_dir):
-    codes = Counter()
+    codes, shapes = Counter(), Counter()
     for argv in sweep_argvs(25, 4000, spec_dir):
         want = outcome(reference_run, argv)
         assert outcome(cli.run, argv) == want, argv
         codes[want[0]] += 1
+        shapes.update(shapes_in(argv))
     assert set(codes) == {0, 1, 2} and min(codes.values()) >= 200, codes
+    assert set(shapes) == set(SHAPES), shapes
 
 
 def test_the_namespace_is_the_full_parsers(spec_dir):
