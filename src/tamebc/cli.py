@@ -4,10 +4,13 @@ Every library operation is reachable through a subcommand with
 deterministic ASCII output: rationals print as a/b, multisets sorted
 and comma separated, zeta functions in the canonical rendering.  Exit
 codes: 0 success, 1 domain error (the error class name goes to
-stderr), 2 usage error.  A call that starts with a known subcommand is
-parsed by that subcommand's parser alone; the top-level parser reads
-every other argv, and any with arguments left over, so its usage text
-and errors are argparse's own.
+stderr), 2 usage error.  A plain argv is read straight off its
+subcommand's actions: a known subcommand, then only its exact option
+strings, each but a flag followed by a value that does not start with
+"-" and passes the option's type and choices, every required option
+given.  argparse reads every other argv, so every usage, help and error
+text is its own: a known subcommand's parser alone, or the top-level
+parser for any other argv and any with arguments left over.
 
 Environment: TAMEBC_PRECISION overrides the default truncation order of
 the valuation-ring arithmetic, TAMEBC_DEGREE_BOUND the default slice
@@ -295,86 +298,123 @@ def _build_parser() -> argparse.ArgumentParser:
     def add(name, fn, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
-        return p
+        p.options = {}  # option string -> action, for _read_plain
 
-    p = add("jumps", _cmd_jumps, help="jump multiset of a torus")
-    p.add_argument("--torus", help="torus expression, e.g. res:4")
-    p.add_argument("--spec", help="spec file of kind torus")
+        def arg(*flags, **settings):
+            action = p.add_argument(*flags, **settings)
+            p.options.update(dict.fromkeys(action.option_strings, action))
+        return arg
 
-    p = add("d-jumps", _cmd_d_jumps, help="integer jumps at level d")
-    p.add_argument("--n", type=_int_arg, help="induced-torus degree (closed form)")
-    p.add_argument("--torus", help="torus expression (interval counting)")
-    p.add_argument("--spec", help="spec file of kind torus")
-    p.add_argument("--d", type=_int_arg, required=True)
+    arg = add("jumps", _cmd_jumps, help="jump multiset of a torus")
+    arg("--torus", help="torus expression, e.g. res:4")
+    arg("--spec", help="spec file of kind torus")
 
-    p = add("order", _cmd_order, help="order function at level d")
-    p.add_argument("--torus", help="torus expression")
-    p.add_argument("--spec", help="spec file of kind torus")
-    p.add_argument("--d", type=_int_arg, required=True)
+    arg = add("d-jumps", _cmd_d_jumps, help="integer jumps at level d")
+    arg("--n", type=_int_arg, help="induced-torus degree (closed form)")
+    arg("--torus", help="torus expression (interval counting)")
+    arg("--spec", help="spec file of kind torus")
+    arg("--d", type=_int_arg, required=True)
 
-    p = add("conductor", _cmd_conductor, help="tame conductor of a torus")
-    p.add_argument("--torus", help="torus expression")
-    p.add_argument("--spec", help="spec file of kind torus")
+    arg = add("order", _cmd_order, help="order function at level d")
+    arg("--torus", help="torus expression")
+    arg("--spec", help="spec file of kind torus")
+    arg("--d", type=_int_arg, required=True)
 
-    p = add("characters", _cmd_characters, help="character exponents at level d")
-    p.add_argument("--n", type=_int_arg, help="induced-torus degree")
-    p.add_argument("--torus", help="torus expression")
-    p.add_argument("--spec", help="spec file of kind torus")
-    p.add_argument("--d", type=_int_arg, required=True)
+    arg = add("conductor", _cmd_conductor, help="tame conductor of a torus")
+    arg("--torus", help="torus expression")
+    arg("--spec", help="spec file of kind torus")
 
-    p = add("zeta-torus", _cmd_zeta_torus, help="zeta of a purely wild induced torus")
-    p.add_argument("--n", type=_int_arg, required=True)
-    p.add_argument("--p", type=_int_arg, required=True)
+    arg = add("characters", _cmd_characters, help="character exponents at level d")
+    arg("--n", type=_int_arg, help="induced-torus degree")
+    arg("--torus", help="torus expression")
+    arg("--spec", help="spec file of kind torus")
+    arg("--d", type=_int_arg, required=True)
 
-    p = add("zeta-jacobian", _cmd_zeta_jacobian, help="zeta of a semiabelian Jacobian")
-    p.add_argument("--spec", required=True, help="spec file of kind jacobian")
+    arg = add("zeta-torus", _cmd_zeta_torus, help="zeta of a purely wild induced torus")
+    arg("--n", type=_int_arg, required=True)
+    arg("--p", type=_int_arg, required=True)
 
-    p = add("pole", _cmd_pole, help="pole location and order of a zeta function")
-    p.add_argument("--n", type=_int_arg)
-    p.add_argument("--p", type=_int_arg)
-    p.add_argument("--spec", help="spec file of kind jacobian")
+    arg = add("zeta-jacobian", _cmd_zeta_jacobian, help="zeta of a semiabelian Jacobian")
+    arg("--spec", required=True, help="spec file of kind jacobian")
 
-    p = add("oracle-cokernel", _cmd_oracle, help="brute-force d-jumps oracle")
-    p.add_argument("--n", type=_int_arg, required=True)
-    p.add_argument("--d", type=_int_arg, required=True)
-    p.add_argument("--p", type=_int_arg, required=True)
-    p.add_argument("--precision", type=_int_arg)
-    p.add_argument("--eisenstein", help="defining polynomial (default t^n - pi)")
+    arg = add("pole", _cmd_pole, help="pole location and order of a zeta function")
+    arg("--n", type=_int_arg)
+    arg("--p", type=_int_arg)
+    arg("--spec", help="spec file of kind jacobian")
 
-    p = add("isogeny", _cmd_isogeny, help="equivariant isogeny check")
-    p.add_argument("--spec", help="spec file of kind lattice-map")
-    p.add_argument("--demo", action="store_true",
-                   help="show the jumps non-invariance demonstration")
+    arg = add("oracle-cokernel", _cmd_oracle, help="brute-force d-jumps oracle")
+    arg("--n", type=_int_arg, required=True)
+    arg("--d", type=_int_arg, required=True)
+    arg("--p", type=_int_arg, required=True)
+    arg("--precision", type=_int_arg)
+    arg("--eisenstein", help="defining polynomial (default t^n - pi)")
 
-    p = add("pushout", _cmd_pushout, help="fiber-product ring diagnostics")
-    p.add_argument(
+    arg = add("isogeny", _cmd_isogeny, help="equivariant isogeny check")
+    arg("--spec", help="spec file of kind lattice-map")
+    arg("--demo", action="store_true",
+        help="show the jumps non-invariance demonstration")
+
+    arg = add("pushout", _cmd_pushout, help="fiber-product ring diagnostics")
+    arg(
         "--check",
         required=True,
         choices=["membership", "nilpotent", "tor-defect", "generators", "base-change"],
     )
-    p.add_argument("--gluing", choices=["two-points", "wild-point"])
-    p.add_argument("--spec", help="spec file of kind gluing")
-    p.add_argument("--eisenstein", help="defining polynomial for wild-point")
-    p.add_argument("--p", type=_int_arg, help="residue characteristic (default 2)")
-    p.add_argument("--precision", type=_int_arg)
-    p.add_argument("--degree-bound", dest="degree_bound", type=_int_arg)
-    p.add_argument("--poly", help="polynomial in pi and t")
-    p.add_argument("--target", type=_target_arg,
-                   help="base-change target: k (default) or a tame degree")
+    arg("--gluing", choices=["two-points", "wild-point"])
+    arg("--spec", help="spec file of kind gluing")
+    arg("--eisenstein", help="defining polynomial for wild-point")
+    arg("--p", type=_int_arg, help="residue characteristic (default 2)")
+    arg("--precision", type=_int_arg)
+    arg("--degree-bound", dest="degree_bound", type=_int_arg)
+    arg("--poly", help="polynomial in pi and t")
+    arg("--target", type=_target_arg,
+        help="base-change target: k (default) or a tame degree")
 
-    p = add("components", _cmd_components, help="component-group count at a divisor")
-    p.add_argument("--spec", required=True, help="spec file of kind jacobian")
-    p.add_argument("--alpha", type=_int_arg, required=True)
+    arg = add("components", _cmd_components, help="component-group count at a divisor")
+    arg("--spec", required=True, help="spec file of kind jacobian")
+    arg("--alpha", type=_int_arg, required=True)
 
     return parser
 
 
+def _read_plain(command, argv):
+    """The namespace of a plain ``argv`` (see the module docstring), read
+    in the steps argparse takes on it; None for any other argv."""
+    values, tokens = {}, iter(argv[1:])
+    for token in tokens:
+        action = command.options.get(token)
+        if action is None:
+            return None
+        if action.nargs == 0:
+            values[action.dest] = action.const
+            continue
+        text = next(tokens, "-")  # a missing value falls back, as "-" does
+        if text.startswith("-"):
+            return None
+        try:
+            value = text if action.type is None else action.type(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    args = argparse.Namespace(command=argv[0], fn=command.get_default("fn"))
+    for action in command.options.values():
+        if action.dest not in values and action.required:
+            return None
+        setattr(args, action.dest, values.get(action.dest, action.default))
+    return args
+
+
 def _parse(parser, argv):
-    """The namespace ``parser.parse_args(argv)`` gives.  A known command's
-    own parser reads the rest of argv, as the subparsers action would; any
-    other argv, or one with arguments left over, takes the full parser."""
+    """The namespace ``parser.parse_args(argv)`` gives: a known command reads
+    a plain argv off its actions, any other with its own parser; any other
+    argv, or one with arguments left over, takes the full parser."""
     command = parser.commands.get(argv[0]) if argv else None
     if command is not None:
+        args = _read_plain(command, argv)
+        if args is not None:
+            return args
         args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
         if not extras:
             return args

@@ -107,6 +107,8 @@ class PolyAlgebra:
         return self.polynomial([series])
 
     def monomial(self, k: int, coeff: Optional[TruncSeries] = None):
+        if k < 0:
+            raise SpecInvariantViolation(f"monomial degree must be >= 0, got {k}")
         if coeff is None:
             coeff = TruncSeries.one(self.config)
         return self.polynomial([TruncSeries.zero(self.config)] * k + [coeff])

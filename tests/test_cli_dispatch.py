@@ -7,13 +7,16 @@ empty, repeated options, missing values, unknown commands and options).
 The sweep runs on every Python that CI runs."""
 
 import contextlib
+import importlib.util
 import io
 import random
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import tamebc
 from tamebc import cli, klein_four_example_map, parse_torus
 from tamebc.errors import DomainError
 from tamebc.specfile import render_text
@@ -220,4 +223,74 @@ def test_a_cleared_cache_leaves_no_stale_table(spec_dir, monkeypatch):
     parser = cli._build_parser()
     assert parser is not old and parser.commands is not old.commands
     monkeypatch.setattr(old.commands["d-jumps"], "parse_known_args", None)
+    monkeypatch.setattr(old.commands["d-jumps"], "options", {})
     assert outcome(cli.run, WELL_FORMED[0]) == (0, "0, 2, 4\n", "")
+
+
+def plain_argvs(spec_dir):
+    """The plain calls of WELL_FORMED (the last two are fallback shapes),
+    and each subcommand with every option, each value one its type and
+    choices take."""
+    values = dict(VALUES, **{"--spec": [str(spec_dir / "jacobian.spec")]})
+    return WELL_FORMED[:4] + [
+        [name] + [token for option in options
+                  for token in ([option] if option == "--demo" else [option, values[option][0]])]
+        for name, options in command_options().items()
+    ]
+
+
+FALLBACK = [
+    ["d-jumps", "-h"],
+    ["d-jumps", "--n=3", "--d", "7"],
+    ["oracle-cokernel", "--n", "3", "--d", "7", "--p", "2", "--prec", "16"],
+    ["pushout", "--check", "membership", "--gluing", "wild-point", "--poly", "-t"],
+    ["d-jumps", "--d", "7", "--n"],
+    ["d-jumps", "--n", "3"],
+    ["pushout", "--check", "bogus", "--gluing", "two-points"],
+    ["d-jumps", "--n", "x", "--d", "7"],
+]
+
+
+def counted_commands(monkeypatch):
+    """A counter of each subcommand parser's parse_known_args calls."""
+    calls = Counter()
+    for name, command in cli._build_parser().commands.items():
+        def counting(*args, _name=name, _real=command.parse_known_args, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(command, "parse_known_args", counting)
+    return calls
+
+
+def test_a_plain_argv_skips_argparse(spec_dir, monkeypatch):
+    argvs = plain_argvs(spec_dir)
+    assert sorted({argv[0] for argv in argvs}) == sorted(command_options())
+    want = [outcome(reference_run, argv) for argv in argvs]
+    calls = counted_commands(monkeypatch)
+    assert [outcome(cli.run, argv) for argv in argvs] == want
+    assert not calls, calls
+    assert {code for code, _, _ in want} == {0, 1}
+
+
+@pytest.mark.parametrize("argv", FALLBACK, ids=[
+    "help", "equals", "abbreviation", "dash-value", "missing-value", "missing-required",
+    "bad-choice", "bad-type"])
+def test_any_other_argv_takes_argparse(spec_dir, monkeypatch, argv):
+    want = outcome(reference_run, argv)
+    calls = counted_commands(monkeypatch)
+    assert outcome(cli.run, argv) == want
+    assert calls[argv[0]] >= 1, calls
+
+
+def test_every_cli_inproc_call_is_plain(tmp_path, monkeypatch):
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    calls = counted_commands(monkeypatch)
+    for seed in (3, 7):
+        ops = workloads.build_cli(tamebc, random.Random(seed), str(tmp_path), None)
+        assert len(ops) == 28
+        for op in ops:
+            assert op.check(outcome(cli.run, op.args[0])), op.args
+    assert not calls, calls

@@ -26,6 +26,7 @@ from tamebc import (
     DVRConfig,
     PolyAlgebra,
     SpecFileError,
+    SpecInvariantViolation,
     TruncSeries,
     pushout,
     specfile,
@@ -277,3 +278,13 @@ def test_checks_catch_mutant(monkeypatch, name):
 def test_unmutated_copy_passes(monkeypatch):
     same = MUTANTS["no-config-check"][0]
     check_all(Products(monkeypatch), mutant(pushout, same, same).PolyAlgebra)
+
+
+@pytest.mark.parametrize("k, coeff", [(-1, None), (-5, "pi")])
+def test_monomial_refuses_a_negative_degree(k, coeff):
+    cfg = DVRConfig(3, 8)
+    algebra = PolyAlgebra(cfg, 6)
+    coeff = TruncSeries.uniformizer(cfg) if coeff else None
+    with pytest.raises(SpecInvariantViolation, match=f"got {k}$"):
+        algebra.monomial(k, coeff)
+    assert algebra.monomial(0, coeff) == algebra.constant(coeff or TruncSeries.one(cfg))
