@@ -284,11 +284,11 @@ def test_any_other_argv_takes_argparse(spec_dir, monkeypatch, argv):
     assert calls[argv[0]] >= 1, calls
 
 
-def test_every_cli_inproc_call_is_plain(tmp_path, monkeypatch):
+def test_every_cli_inproc_call_is_plain(spec_dir, monkeypatch):
     workloads = _load_workloads()
     calls = counted_commands(monkeypatch)
     for seed in (3, 7):
-        ops = workloads.build_cli(tamebc, random.Random(seed), str(tmp_path), None)
+        ops = workloads.build_cli(tamebc, random.Random(seed), f"{spec_dir}/", None)
         assert len(ops) == 28
         for op in ops:
             assert op.check(outcome(cli.run, op.args[0])), op.args
