@@ -413,6 +413,24 @@ class TestExplicitArguments:
         assert (code, out) == (1, "")
         assert err.startswith("SpecInvariantViolation")
 
+    # a given flag never reads its environment variable, so a malformed one beside it is unread
+    @pytest.mark.parametrize("name, value, argv, expected", [
+        ("TAMEBC_PRECISION", "x",
+         ["oracle-cokernel", "--n", "2", "--d", "25", "--p", "3", "--precision", "128"], "0, 12"),
+        ("TAMEBC_PRECISION", "x",
+         ["pushout", "--check", "membership", "--gluing", "two-points", "--precision", "16",
+          "--poly", "t^2 - t"], "member: true"),
+        ("TAMEBC_DEGREE_BOUND", "y",
+         ["pushout", "--check", "membership", "--gluing", "two-points", "--degree-bound", "6",
+          "--poly", "t^4 - t"], "member: true"),
+    ], ids=["oracle-precision", "pushout-precision", "pushout-degree-bound"])
+    def test_a_flag_never_reads_the_environment(self, capsys, monkeypatch, name, value,
+                                                argv, expected):
+        for other in ("TAMEBC_PRECISION", "TAMEBC_DEGREE_BOUND"):
+            monkeypatch.delenv(other, raising=False)
+        monkeypatch.setenv(name, value)
+        assert invoke(capsys, *argv) == (0, expected + "\n", "")
+
     def test_unknown_base_change_target_is_a_usage_error(self, capsys):
         code, out, err = invoke(
             capsys, "pushout", "--check", "base-change", "--gluing", "two-points",
