@@ -8,9 +8,8 @@ stderr), 2 usage error.  A plain argv is read straight off its
 subcommand's actions: a known subcommand, then only its exact option
 strings, each but a flag followed by a value that does not start with
 "-" and passes the option's type and choices, every required option
-given.  argparse reads every other argv, so every usage, help and error
-text is its own: a known subcommand's parser alone, or the top-level
-parser for any other argv and any with arguments left over.
+given.  The full argparse parser reads every other argv, so every usage,
+help and error text is argparse's own.
 
 Environment: TAMEBC_PRECISION overrides the default truncation order of
 the valuation-ring arithmetic, TAMEBC_DEGREE_BOUND the default slice
@@ -76,7 +75,11 @@ from . import specfile
 ORACLE_PRECISION_CAP = 8192
 
 
-def _env_int(name: str, fallback: int | None) -> int | None:
+def _env_int(name: str, value: int | None, fallback: int | None) -> int | None:
+    """The flag's ``value`` if given, else the environment variable ``name``,
+    else ``fallback``."""
+    if value is not None:
+        return value
     raw = os.environ.get(name)
     if raw is None:
         return fallback
@@ -107,18 +110,12 @@ def _exclusive(args, flag, others):
 
 
 def _torus_arg(args) -> "Torus":
-    if args.spec:
+    if args.spec is not None:
         _exclusive(args, "spec", ["torus"])
         return _load(args.spec, Torus, "torus")
     if args.torus is None:
         raise SpecFileError("need --torus EXPR or --spec FILE")
     return parse_torus(args.torus)
-
-
-def _precision_arg(args) -> int:
-    if args.precision is None:
-        return _env_int("TAMEBC_PRECISION", DEFAULT_PRECISION)
-    return args.precision
 
 
 def _int_arg(text: str, malformed: str = "invalid int value: {!r}") -> int:
@@ -137,15 +134,13 @@ def _target_arg(text: str):
 
 
 def _gluing_arg(args) -> "GluingSpec":
-    if args.spec:
+    if args.spec is not None:
         _exclusive(args, "spec", ["gluing", "eisenstein", "p", "precision", "degree_bound"])
         return _load(args.spec, (TwoPointsGluing, WildPointGluing), "gluing")
     if args.gluing is None:
         raise SpecFileError("need --gluing two-points|wild-point or --spec FILE")
-    precision = _precision_arg(args)
-    bound = args.degree_bound
-    if bound is None:
-        bound = _env_int("TAMEBC_DEGREE_BOUND", DEFAULT_DEGREE_BOUND)
+    precision = _env_int("TAMEBC_PRECISION", args.precision, DEFAULT_PRECISION)
+    bound = _env_int("TAMEBC_DEGREE_BOUND", args.degree_bound, DEFAULT_DEGREE_BOUND)
     return specfile.build_gluing(
         args.gluing, 2 if args.p is None else args.p, precision, bound, args.eisenstein
     )
@@ -194,7 +189,7 @@ def _cmd_zeta_jacobian(args, out):
 
 
 def _cmd_pole(args, out):
-    if args.spec:
+    if args.spec is not None:
         _exclusive(args, "spec", ["n", "p"])
         report = _load(args.spec, JacobianSpec, "jacobian").pole()
     else:
@@ -205,9 +200,7 @@ def _cmd_pole(args, out):
 
 
 def _cmd_oracle(args, out):
-    precision = args.precision
-    if precision is None:
-        precision = _env_int("TAMEBC_PRECISION", None)
+    precision = _env_int("TAMEBC_PRECISION", args.precision, None)
     if precision is None:
         precision = oracle_precision(args.n, args.d)
         if precision > ORACLE_PRECISION_CAP:
@@ -217,7 +210,7 @@ def _cmd_oracle(args, out):
                 f"default cap {ORACLE_PRECISION_CAP}; pass --precision {precision} to run it"
             )
     config = DVRConfig(args.p, precision)
-    if args.eisenstein:
+    if args.eisenstein is not None:
         algebra = PolyAlgebra(config, max(args.n, DEFAULT_DEGREE_BOUND))
         poly = specfile.parse_eisenstein(args.eisenstein, algebra)
         if poly.degree != args.n:
@@ -238,7 +231,7 @@ def _cmd_isogeny(args, out):
         print(f"right: {right}", file=out)
         print(f"differ: {_bool_text(differ)}", file=out)
         return
-    if args.spec:
+    if args.spec is not None:
         lattice_map = _load(args.spec, LatticeMap, "lattice map")
     else:
         lattice_map = klein_four_example_map()
@@ -259,7 +252,7 @@ def _cmd_pushout(args, out):
         poly = specfile.parse_okt_expr(args.poly, algebra)
         print(f"member: {_bool_text(fiber_membership(poly, spec))}", file=out)
     elif args.check == "nilpotent":
-        poly = specfile.parse_okt_expr(args.poly, algebra) if args.poly else None
+        poly = None if args.poly is None else specfile.parse_okt_expr(args.poly, algebra)
         report = nilpotent_witness(spec, poly)._asdict()
         print(", ".join(f"{step}: {'skipped' if v is None else _bool_text(v)}"
                         for step, v in report.items()), file=out)
@@ -293,7 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="exact tame base-change invariants",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = sub.choices  # run() parses a known command with its own parser
+    parser.commands = sub.choices  # _parse reads a plain argv of a known command off these
 
     def add(name, fn, **kwargs):
         p = sub.add_parser(name, **kwargs)
@@ -407,18 +400,11 @@ def _read_plain(command, argv):
 
 
 def _parse(parser, argv):
-    """The namespace ``parser.parse_args(argv)`` gives: a known command reads
-    a plain argv off its actions, any other with its own parser; any other
-    argv, or one with arguments left over, takes the full parser."""
+    """The namespace ``parser.parse_args(argv)`` gives: a plain argv of a
+    known command is read off its actions, any other by the full parser."""
     command = parser.commands.get(argv[0]) if argv else None
-    if command is not None:
-        args = _read_plain(command, argv)
-        if args is not None:
-            return args
-        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if not extras:
-            return args
-    return parser.parse_args(argv)
+    args = None if command is None else _read_plain(command, argv)
+    return parser.parse_args(argv) if args is None else args
 
 
 def run(argv) -> int:

@@ -531,6 +531,25 @@ class TestContradictingFlags:
         assert invoke(capsys, *argv.format(**spec_paths).split())[:2] == (0, expected)
 
 
+class TestEmptyValues:
+    """An empty option value is given, as ``_exclusive`` counts it: it is
+    read, and refused, instead of standing for an absent option."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["isogeny", "--spec", ""], "SpecFileError: cannot read : "),
+        (["oracle-cokernel", "--n", "3", "--d", "7", "--p", "2", "--eisenstein", ""],
+         "SpecFileError: unexpected end of expression\n"),
+        (["pushout", "--check", "nilpotent", "--gluing", "two-points", "--poly", ""],
+         "SpecFileError: unexpected end of expression\n"),
+        (["jumps", "--spec", "", "--torus", "res:3"],
+         "SpecFileError: --spec contradicts --torus\n"),
+    ], ids=["isogeny-spec", "oracle-eisenstein", "pushout-poly", "jumps-spec-torus"])
+    def test_an_empty_value_is_refused(self, capsys, argv, message):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(message), err
+
+
 class TestIntegerOptions:
     """Integer options and environment values are ASCII ``-?[0-9]+``, as
     in spec files; argparse's ``int`` would also take other Unicode

@@ -4,10 +4,12 @@ agree on a seeded sweep of argvs built from every subcommand and option,
 with the argparse edge cases (help, ``--``, ``--opt=value``, abbreviated
 options, negative numbers, string values that start with ``-`` or are
 empty, repeated options, missing values, unknown commands and options).
-The sweep runs on every Python that CI runs.  Counters on each
-subcommand parser's ``parse_known_args`` show that a plain argv, every
-``cli-inproc`` call among them, is read without argparse, and that every
-other shape still reaches it."""
+The sweep runs on every Python that CI runs.  ``cli.run`` reads an argv
+by two routes: a plain argv straight off its subcommand's actions, any
+other with the full parser.  Counters on each subcommand parser's
+``parse_known_args``, which the full parser calls, show that a plain
+argv, every ``cli-inproc`` call among them, is read without argparse,
+and that every other shape still reaches it."""
 
 import contextlib
 import io
@@ -196,27 +198,7 @@ WELL_FORMED = [
     ["pushout", "--check", "generators", "--gluing", "wild-point", "--p", "3",
      "--eisenstein", "t^2 - pi"],
     ["isogeny", "--demo"],
-    ["d-jumps", "-h"],
-    ["d-jumps", "--n", "3"],
 ]
-
-
-def test_a_known_command_skips_the_top_level_parser(spec_dir, monkeypatch):
-    parser = cli._build_parser()
-    calls = []
-    real = parser.parse_known_args
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(parser, "parse_known_args", counting)
-    codes = [outcome(cli.run, argv)[0] for argv in WELL_FORMED]
-    assert codes == [0, 0, 0, 0, 0, 2] and calls == []
-    # control: a leftover argument, an unknown command and an empty argv reach it
-    for argv in (WELL_FORMED[0] + ["extra"], ["bogus"], []):
-        assert outcome(cli.run, argv)[0] == 2
-    assert len(calls) == 3
 
 
 def test_a_cleared_cache_leaves_no_stale_table(spec_dir, monkeypatch):
@@ -230,11 +212,10 @@ def test_a_cleared_cache_leaves_no_stale_table(spec_dir, monkeypatch):
 
 
 def plain_argvs(spec_dir):
-    """The plain calls of WELL_FORMED (the last two are fallback shapes),
-    and each subcommand with every option, each value one its type and
-    choices take."""
+    """WELL_FORMED, and each subcommand with every option, each value one
+    its type and choices take."""
     values = dict(VALUES, **{"--spec": [str(spec_dir / "jacobian.spec")]})
-    return WELL_FORMED[:4] + [
+    return WELL_FORMED + [
         [name] + [token for option in options
                   for token in ([option] if option == "--demo" else [option, values[option][0]])]
         for name, options in command_options().items()
