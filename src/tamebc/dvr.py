@@ -38,13 +38,15 @@ Representation: a ``TruncSeries`` is one packed integer of N slots
 to digit i mod p and at most the series' top.  A slot holds a product
 plus one offset, 2*N*(p-1)^2 + 2*p, in whole bytes; the cap is its
 largest value.  A product multiplies two reduced packs (every slot < p)
-and keeps N slots: its top is N*(p-1)^2.  A sum adds packs and tops.  A
-difference a - b, or -b, adds m*(1, ..., 1), where m is the least
-multiple of p at or above b's top, so that no slot borrows.  An
-operation whose top would pass the cap first reduces its operands.  A
-reduction never leaves the integer: it takes every slot mod p at once by
-Barrett's division by a precomputed reciprocal (Barrett, CRYPTO '86),
-with a few big-integer operations in place of a pass over N digits.
+and keeps N slots: its top is N*(p-1)^2.  A reduced pack with a single
+set bit is c*pi^k with c = 2^j < p, and a product by it is a shift with
+top (p-1)*c.  A sum adds packs and tops.  A difference a - b, or -b,
+adds m*(1, ..., 1), where m is the least multiple of p at or above b's
+top, so that no slot borrows.  An operation whose top would pass the
+cap first reduces its operands.  A reduction never leaves the integer:
+it takes every slot mod p at once by Barrett's division by a
+precomputed reciprocal (Barrett, CRYPTO '86), with a few big-integer
+operations in place of a pass over N digits.
 The valuation (the slot of the lowest set bit), the zero and unit tests,
 ``shift_down``, ``==`` and ``hash`` reduce once and then read the
 integer; only ``coeffs``, ``repr`` and ``embed`` unpack digits.  Unit
@@ -57,6 +59,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import islice
 from math import gcd
 
@@ -127,7 +130,10 @@ def _kernel_slots(p: int, n: int):
 
 @dataclass(frozen=True)
 class DVRConfig:
-    """Residue characteristic p and truncation order N of a working ring."""
+    """Residue characteristic p and truncation order N of a working ring.
+
+    Its slot layout is derived once per (p, N), by ``_layout``, and shared
+    by every config of that (p, N)."""
 
     p: int
     precision: int = DEFAULT_PRECISION
@@ -136,23 +142,33 @@ class DVRConfig:
     _mask: int = field(init=False, repr=False, compare=False)  # the low N slots
     _ones: int = field(init=False, repr=False, compare=False)  # 1 in each of them
     _cap: int = field(init=False, repr=False, compare=False)  # the largest slot value
-    # stride s -> (1 at the start of every s-th slot, all bits of those slots)
-    _fields: dict = field(init=False, repr=False, compare=False)
+    # for strides s = 2, 3: (1 at the start of every s-th slot, all bits of those slots)
+    _fields: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not _is_prime(self.p):
-            raise SpecInvariantViolation(f"residue characteristic {self.p} is not prime")
-        if self.precision < 2:
-            raise SpecInvariantViolation("precision must be at least 2")
-        slots = _kernel_slots(self.p, self.precision)
-        bits = 8 * slots[1]
-        object.__setattr__(self, "_slots", slots)
-        object.__setattr__(self, "_bits", bits)
-        object.__setattr__(self, "_mask", (1 << (bits * self.precision)) - 1)
-        object.__setattr__(self, "_ones", _field_starts(bits, self.precision, 1))
-        object.__setattr__(self, "_cap", (1 << bits) - 1)
-        starts = {s: _field_starts(bits, self.precision, s) for s in (2, 3)}
-        object.__setattr__(self, "_fields", {s: (f, f * self._cap) for s, f in starts.items()})
+        vars(self).update(zip(_LAYOUT, _layout(self.p, self.precision)))
+
+
+_LAYOUT = ("_slots", "_bits", "_mask", "_ones", "_cap", "_fields")
+
+
+@lru_cache(maxsize=32, typed=True)
+def _layout(p, n) -> tuple:
+    """The checked layout of a config: the values of ``_LAYOUT``, in order.
+
+    A memo of immutable values, so that a process that builds the same
+    (p, N) again (every parsed CLI call does) derives them once.  It is
+    keyed by type too, so 5.0 never finds 5's layout, and an invalid
+    (p, N) raises on every call."""
+    if not _is_prime(p):
+        raise SpecInvariantViolation(f"residue characteristic {p} is not prime")
+    if n < 2:
+        raise SpecInvariantViolation("precision must be at least 2")
+    slots = _kernel_slots(p, n)
+    bits = 8 * slots[1]
+    cap = (1 << bits) - 1
+    fields = tuple((f, f * cap) for f in (_field_starts(bits, n, s) for s in (2, 3)))
+    return slots, bits, (1 << (bits * n)) - 1, _field_starts(bits, n, 1), cap, fields
 
 
 def _field_starts(bits: int, n: int, stride: int) -> int:
@@ -188,7 +204,7 @@ def _reduce(x: int, top: int, config: DVRConfig) -> int:
     k = tb + p.bit_length()
     m = -(-(1 << k) // p)
     stride = 2 if tb + k <= 2 * bits else 3
-    starts, fields = config._fields[stride]
+    starts, fields = config._fields[stride - 2]
     quotients = starts * ((1 << (stride * bits - k)) - 1)
     out = 0
     for i in range(stride):
@@ -285,15 +301,28 @@ class TruncSeries:
         return tuple(int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size))
 
     def _pack(self, reduced: bool = False) -> int:
-        """The packed value; with ``reduced``, one whose every slot is < p."""
-        if reduced and self._top >= self.config.p:
-            self._packed = _reduce(self._packed, self._top, self.config)
+        """The packed value; with ``reduced``, one whose every slot is < p.
+
+        A reduction writes the pack before the top, and every reader reads
+        the top before the pack, so that a reader that runs between the two
+        writes pairs an unreduced pack only with the unreduced top."""
+        top = self._top
+        if reduced and top >= self.config.p:
+            self._packed = _reduce(self._packed, top, self.config)
             self._top = self.config.p - 1
         return self._packed
 
     def _times(self, packed: int) -> "TruncSeries":
-        """Product with a reduced pack, masked to N slots."""
+        """Product with a reduced pack, masked to N slots.
+
+        A pack with a single set bit, at bit j of slot k, is c*pi^k with c =
+        2^j < p: the product is then a shift, with top (p-1)*c."""
         cfg = self.config
+        if packed.bit_count() == 1:
+            m = packed.bit_length() - 1
+            return _packed_series(
+                self._pack(True) << m & cfg._mask, (cfg.p - 1) << m % cfg._bits, cfg
+            )
         return _packed_series(
             self._pack(True) * packed & cfg._mask, cfg.precision * (cfg.p - 1) ** 2, cfg
         )
@@ -331,8 +360,10 @@ class TruncSeries:
 
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
         self._check_config(other)
-        self._reduce_if(other, self._top + other._top)
-        return _packed_series(self._pack() + other._pack(), self._top + other._top, self.config)
+        top = self._top + other._top  # the tops before the packs: see _pack
+        if self._reduce_if(other, top):
+            top = 2 * (self.config.p - 1)
+        return _packed_series(self._pack() + other._pack(), top, self.config)
 
     def __neg__(self) -> "TruncSeries":
         return _difference(_packed_series(0, 0, self.config), self)
@@ -358,9 +389,9 @@ class TruncSeries:
         """Multiply by pi^k."""
         if k < 0:
             raise SpecInvariantViolation("shift_up needs k >= 0")
-        cfg = self.config
+        cfg, top = self.config, self._top
         packed = self._packed << (cfg._bits * min(k, cfg.precision)) & cfg._mask
-        return _packed_series(packed, self._top, cfg)
+        return _packed_series(packed, top, cfg)
 
     def shift_down(self, k: int) -> "TruncSeries":
         """Exact division by pi^k; the low k coefficients must vanish.
@@ -391,7 +422,7 @@ class TruncSeries:
     def __eq__(self, other):
         return (
             isinstance(other, TruncSeries)
-            and self.config == other.config
+            and (self.config is other.config or self.config == other.config)
             and self._pack(True) == other._pack(True)
         )
 
@@ -422,10 +453,10 @@ def _packed_series(packed, top: int, config: DVRConfig) -> TruncSeries:
 def _difference(a: TruncSeries, b: TruncSeries) -> TruncSeries:
     """a - b, offset by the least multiple of p at or above b's top."""
     cfg = a.config
-    m = -(-b._top // cfg.p) * cfg.p
-    if a._reduce_if(b, a._top + m):
-        m = cfg.p
-    return _packed_series(a._pack() + m * cfg._ones - b._pack(), a._top + m, cfg)
+    top, m = a._top, -(-b._top // cfg.p) * cfg.p  # the tops before the packs: see _pack
+    if a._reduce_if(b, top + m):
+        top, m = cfg.p - 1, cfg.p
+    return _packed_series(a._pack() + m * cfg._ones - b._pack(), top + m, cfg)
 
 
 @dataclass(frozen=True)
@@ -475,7 +506,9 @@ class EisensteinPoly:
         if not coeffs:
             raise SpecInvariantViolation("Eisenstein polynomial needs degree >= 1")
         for c in coeffs:
-            if not isinstance(c, TruncSeries) or c.config != self.config:
+            if not isinstance(c, TruncSeries) or (
+                c.config is not self.config and c.config != self.config
+            ):
                 raise ConfigMismatch("coefficient over a different configuration")
         if coeffs[0].valuation != 1:
             raise SpecInvariantViolation(

@@ -366,10 +366,9 @@ class TestPackedChains:
 
 
 RING_MUTANTS = {
-    "offset-not-multiple-of-p": ("m = -(-b._top // cfg.p) * cfg.p", "m = b._top"),
-    "sub-keeps-top": ("b._pack(), a._top + m, cfg)", "b._pack(), a._top, cfg)"),
-    "mask-one-slot-short": ("(1 << (bits * self.precision)) - 1",
-                            "(1 << (bits * (self.precision - 1))) - 1"),
+    "offset-not-multiple-of-p": ("m = a._top, -(-b._top // cfg.p) * cfg.p", "m = a._top, b._top"),
+    "sub-keeps-top": ("b._pack(), top + m, cfg)", "b._pack(), top, cfg)"),
+    "mask-one-slot-short": ("(1 << (bits * n)) - 1", "(1 << (bits * (n - 1))) - 1"),
     "valuation-unreduced": ("x = self._pack(True)", "x = self._packed"),
     "is-unit-unreduced": ("bool(self._pack(True) & self.config._cap)",
                           "bool(self._packed & self.config._cap)"),
@@ -457,7 +456,160 @@ class TestReduce:
         assert x.unit_divide(u) * u == x
 
 
+# ---------------------------------------------------------------------------
+# products by c*pi^k, c a power of two below p: a shift, with top (p-1)*c
+# ---------------------------------------------------------------------------
+
+def raw_slots(packed, cfg):
+    """The N slots of a pack as they stand, unreduced, via int.to_bytes."""
+    size = cfg._bits // 8
+    raw = packed.to_bytes(size * cfg.precision, "little")
+    return [int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)]
+
+
+def single_bit_sweep(ring, seed):
+    """(p, N, c, k, operand) of every product x * (c*pi^k), k in {0, 1,
+    N - 1} and c every power of two below p, whose digits differ from the
+    general product's (one big-integer multiply of the reduced packs,
+    reduced slot by slot), or whose pack has a slot above its declared
+    top.  x is random digits with x_0 = p - 1, once reduced and once as
+    x + x, whose top is 2*(p-1)."""
+    rng = random.Random(seed)
+    mismatches = []
+    for p in REDUCE_PRIMES:
+        for n in REDUCE_PRECISIONS:
+            cfg = ring.DVRConfig(p, n)
+            x = ring.TruncSeries([p - 1] + [rng.randrange(p) for _ in range(n - 1)], cfg)
+            for name, a in (("x", x), ("x+x", x + x)):
+                for k in sorted({0, 1, n - 1}):
+                    for j in range(p.bit_length()):
+                        c = 1 << j
+                        if c >= p:
+                            break
+                        b = ring.TruncSeries.uniformizer(cfg, k) if c == 1 else (
+                            ring.TruncSeries([0] * k + [c], cfg))
+                        general = raw_slots(
+                            ring._packed_series(a._packed, a._top, cfg)._pack(True)
+                            * b._pack(True) & cfg._mask, cfg)
+                        out = a * b
+                        if (list(out.coeffs) != [s % p for s in general]
+                                or max(raw_slots(out._packed, cfg)) > out._top):
+                            mismatches.append((p, n, c, k, name))
+    return mismatches
+
+
+SINGLE_BIT_BOUND = "(cfg.p - 1) << m % cfg._bits"
+
+
+class TestSingleBitProducts:
+    def test_match_general_product_within_top(self):
+        assert single_bit_sweep(dvr, 13) == []
+
+    def test_catches_bound_left_at_p_minus_1(self):
+        assert single_bit_sweep(mutant(dvr, SINGLE_BIT_BOUND, "cfg.p - 1"), 13)
+
+    def test_top_reaches_p_minus_1_times_c(self):
+        cfg = DVRConfig(65537, 64)
+        x = TruncSeries([cfg.p - 1] * cfg.precision, cfg)
+        out = x * TruncSeries.from_int(1 << 16, cfg)
+        assert out._top == max(raw_slots(out._packed, cfg)) == (cfg.p - 1) << 16
+
+
+# ---------------------------------------------------------------------------
+# a series reduced by another thread while it is read
+# ---------------------------------------------------------------------------
+
+_SLOT = TruncSeries._packed  # the slot behind the property below
+
+
+class ReducedWhileRead(TruncSeries):
+    """A series that another thread reduces in place, as ``_pack(True)``
+    does (the pack first, then the top), just after this thread reads its
+    unreduced pack for the first time."""
+
+    __slots__ = ("pending",)
+
+    @property
+    def _packed(self):
+        packed = _SLOT.__get__(self)
+        if self.pending:
+            self.pending = False
+            _SLOT.__set__(self, dvr._reduce(packed, self._top, self.config))
+            self._top = self.config.p - 1
+        return packed
+
+    @_packed.setter
+    def _packed(self, value):
+        _SLOT.__set__(self, value)
+
+
+def reduced_while_read(cfg, slots):
+    x = object.__new__(ReducedWhileRead)
+    _SLOT.__set__(x, _pack_slots(slots, cfg))
+    x._top, x.config, x.pending = max(slots), cfg, True
+    return x
+
+
+def _pack_slots(slots, cfg):
+    size = cfg._bits // 8
+    return int.from_bytes(b"".join(s.to_bytes(size, "little") for s in slots), "little")
+
+
+READ_CFG = DVRConfig(5, 8)
+
+# (operation on x, the digits of its result from x's digits d)
+READ_OPS = {
+    "x + 1": (lambda x: x + one(READ_CFG), lambda d: [(d[0] + 1) % 5] + d[1:]),
+    "x - 1": (lambda x: x - one(READ_CFG), lambda d: [(d[0] - 1) % 5] + d[1:]),
+    "1 - x": (lambda x: one(READ_CFG) - x, lambda d: [-a % 5 for a in [d[0] - 1] + d[1:]]),
+    "x * 2": (lambda x: x * TruncSeries.from_int(2, READ_CFG), lambda d: [2 * a % 5 for a in d]),
+    "x.shift_up(1)": (lambda x: x.shift_up(1), lambda d: [0] + d[:-1]),
+}
+
+
+def unreduced_slots():
+    """Slots far above p, whose sum with a reduced series stays under the cap."""
+    rng = random.Random(3)
+    cap, p = READ_CFG._cap, READ_CFG.p
+    return [rng.randrange(cap // 2, cap - 2 * p) for _ in range(READ_CFG.precision)]
+
+
+class TestReadOrder:
+    """Every reader takes a series' top before its pack, so a reduction that
+    runs between the two reads never pairs the unreduced pack with the
+    reduced top p - 1."""
+
+    @pytest.mark.parametrize("name", sorted(READ_OPS))
+    def test_result_keeps_a_valid_top(self, name):
+        op, digits = READ_OPS[name]
+        slots = unreduced_slots()
+        x = reduced_while_read(READ_CFG, slots)
+        out = op(x)
+        assert not x.pending
+        assert max(raw_slots(out._packed, READ_CFG)) <= out._top
+        assert list(out.coeffs) == digits([s % 5 for s in slots])
+
+    def test_reduction_keeps_a_valid_top(self):
+        slots = unreduced_slots()
+        x = reduced_while_read(READ_CFG, slots)
+        assert x._pack(True) == _pack_slots([s % 5 for s in slots], READ_CFG)
+        assert max(raw_slots(_SLOT.__get__(x), READ_CFG)) <= x._top == 4
+
+
 class TestDVRConfig:
+    def test_layout_is_derived_once_per_p_and_n(self):
+        a, b = DVRConfig(7, 96), DVRConfig(7, 96)
+        assert a is not b and a == b
+        assert a._mask is b._mask and a._fields is b._fields
+        assert DVRConfig(7, 97)._mask != a._mask
+
+    def test_invalid_config_raises_every_time(self):
+        for _ in range(2):
+            with pytest.raises(SpecInvariantViolation, match="not prime"):
+                DVRConfig(9, 8)
+            with pytest.raises(SpecInvariantViolation, match="at least 2"):
+                DVRConfig(7, 1)
+
     def test_rejects_composite(self):
         with pytest.raises(SpecInvariantViolation):
             DVRConfig(6, 8)

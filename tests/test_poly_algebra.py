@@ -10,8 +10,9 @@ and degree bounds.  ``add`` and ``mul`` called directly must raise
 ``ConfigMismatch`` wherever the reference does: on wholly foreign, mixed
 and foreign-zero inputs and on a foreign tail.  A counter on
 ``TruncSeries.__mul__`` shows that no call takes more series products than
-the reference, and three mutants of ``pushout`` show that these checks can
-fail.
+the reference, one on ``dvr._reduce`` pins the Barrett reductions that
+reading an Eisenstein polynomial takes, and three mutants of ``pushout``
+show that these checks can fail.
 """
 
 import random
@@ -28,10 +29,11 @@ from tamebc import (
     SpecFileError,
     SpecInvariantViolation,
     TruncSeries,
+    dvr,
     pushout,
     specfile,
 )
-from tamebc.specfile import parse_okt_expr
+from tamebc.specfile import parse_eisenstein, parse_okt_expr
 from _mutants import mutant
 from test_expr_sums import random_expr
 
@@ -122,9 +124,13 @@ class Products:
         return result + (self.count - start,)
 
 
-RINGS = [(p, n, d) for p in (2, 3, 5, 7) for n in (2, 6, 16, 64) for d in (2, 4, 12)]
-FIXED = ["t^13 - t^13 + t", "t^99999999", "pi^99999999", "((1 + pi)^63*(1 + t)^6)^2"]
-PER_RING = 126  # 48 rings: 6,048 random expressions
+# p = 65537 has 64-bit slots; the last FIXED constants are single set bits at
+# the top of the digit range of p = 65537 and, reduced, of smaller p
+RINGS = [(p, n, d) for p in (2, 3, 5, 7) for n in (2, 6, 16, 64) for d in (2, 4, 12)] + [
+    (p, n, d) for p in (101, 65537) for n in (2, 64) for d in (2, 4, 12)]
+FIXED = ["t^13 - t^13 + t", "t^99999999", "pi^99999999", "((1 + pi)^63*(1 + t)^6)^2",
+         "32768*pi*t - 2*pi", "65536*pi*t - 2*pi"]
+PER_RING = 126  # 60 rings: 7,560 random expressions
 
 
 def sweep(products, algebra_class=PolyAlgebra, per_ring=PER_RING):
@@ -151,10 +157,10 @@ def sweep(products, algebra_class=PolyAlgebra, per_ring=PER_RING):
 def test_parse_matches_reference(monkeypatch):
     tally = sweep(Products(monkeypatch))
     products = {key[1]: tally.pop(key) for key in list(tally) if key[0] == "products"}
-    assert sum(tally.values()) >= 6_000
+    assert sum(tally.values()) >= 7_500
     assert set(tally) == {"ok", "DegreeBound", "SpecFileError"}
     assert min(tally.values()) > 500, tally
-    # 187,996 products in the reference, 59,765 here
+    # 237,978 products in the reference, 77,173 here
     assert 2 * products["algebra"] < products["reference"], products
 
 
@@ -172,6 +178,32 @@ def test_products_taken(monkeypatch, text, products, reference):
     algebra = PolyAlgebra(DVRConfig(5, 64), 14)
     assert count.outcome(ref_parse_okt_expr, text, algebra)[2] == reference
     assert count.outcome(parse_okt_expr, text, algebra)[2] == products
+
+
+class Reductions:
+    """Counts the Barrett reductions of ``dvr._reduce`` (calls whose top
+    reaches p) while installed."""
+
+    def __init__(self, monkeypatch):
+        self.count = 0
+        real = dvr._reduce
+
+        def counted(x, top, config):
+            self.count += top >= config.p
+            return real(x, top, config)
+
+        monkeypatch.setattr(dvr, "_reduce", counted)
+
+
+def test_reductions_taken(monkeypatch):
+    # every product is by 1, 2 or pi, a single set bit: a shift of a reduced
+    # pack; the one reduction is of -3*pi, whose offset takes its top to p,
+    # when the Eisenstein checks read its valuation
+    count = Reductions(monkeypatch)
+    algebra = PolyAlgebra(DVRConfig(5, 64), 14)
+    P = parse_eisenstein("t^3 + 2*pi*t - 3*pi", algebra)
+    assert count.count == 1
+    assert [c.coeffs[:2] for c in P.coeffs] == [(0, 2), (0, 2), (0, 0)]
 
 
 # ---------------------------------------------------------------------------
