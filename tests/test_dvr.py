@@ -486,8 +486,7 @@ def single_bit_sweep(ring, seed):
                         c = 1 << j
                         if c >= p:
                             break
-                        b = ring.TruncSeries.uniformizer(cfg, k) if c == 1 else (
-                            ring.TruncSeries([0] * k + [c], cfg))
+                        b = ring.TruncSeries([0] * k + [c], cfg)
                         general = raw_slots(
                             ring._packed_series(a._packed, a._top, cfg)._pack(True)
                             * b._pack(True) & cfg._mask, cfg)
@@ -543,16 +542,16 @@ class ReducedWhileRead(TruncSeries):
         _SLOT.__set__(self, value)
 
 
-def reduced_while_read(cfg, slots):
-    x = object.__new__(ReducedWhileRead)
-    _SLOT.__set__(x, _pack_slots(slots, cfg))
-    x._top, x.config, x.pending = max(slots), cfg, True
-    return x
-
-
-def _pack_slots(slots, cfg):
+def pack_slots(slots, cfg):
     size = cfg._bits // 8
     return int.from_bytes(b"".join(s.to_bytes(size, "little") for s in slots), "little")
+
+
+def reduced_while_read(cfg, slots):
+    x = object.__new__(ReducedWhileRead)
+    _SLOT.__set__(x, pack_slots(slots, cfg))
+    x._top, x.config, x.pending = max(slots), cfg, True
+    return x
 
 
 READ_CFG = DVRConfig(5, 8)
@@ -592,7 +591,7 @@ class TestReadOrder:
     def test_reduction_keeps_a_valid_top(self):
         slots = unreduced_slots()
         x = reduced_while_read(READ_CFG, slots)
-        assert x._pack(True) == _pack_slots([s % 5 for s in slots], READ_CFG)
+        assert x._pack(True) == pack_slots([s % 5 for s in slots], READ_CFG)
         assert max(raw_slots(_SLOT.__get__(x), READ_CFG)) <= x._top == 4
 
 
