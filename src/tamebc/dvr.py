@@ -38,15 +38,15 @@ Representation: a ``TruncSeries`` is one packed integer of N slots
 to digit i mod p and at most the series' top.  A slot holds a product
 plus one offset, 2*N*(p-1)^2 + 2*p, in whole bytes; the cap is its
 largest value.  A product multiplies two reduced packs (every slot < p)
-and keeps N slots: its top is N*(p-1)^2.  A reduced pack with a single
-set bit is c*pi^k with c = 2^j < p, and a product by it is a shift with
-top (p-1)*c.  A sum adds packs and tops.  A difference a - b, or -b,
-adds m*(1, ..., 1), where m is the least multiple of p at or above b's
-top, so that no slot borrows.  An operation whose top would pass the
-cap first reduces its operands.  A reduction never leaves the integer:
-it takes every slot mod p at once by Barrett's division by a
-precomputed reciprocal (Barrett, CRYPTO '86), with a few big-integer
-operations in place of a pass over N digits.
+and keeps N slots: its top is N*(p-1)^2.  A reduced pack of c or c*pi
+with c = 2^j < p has a single set bit, in slot 0 or 1, and a product by
+it is a shift with top (p-1)*c.  A sum adds packs and tops.  A
+difference a - b, or -b, adds m*(1, ..., 1), where m is the least
+multiple of p at or above b's top, so that no slot borrows.  An
+operation whose top would pass the cap first reduces its operands.  A
+reduction never leaves the integer: it takes every slot mod p at once by
+Barrett's division by a precomputed reciprocal (Barrett, CRYPTO '86),
+with a few big-integer operations in place of a pass over N digits.
 The valuation (the slot of the lowest set bit), the zero and unit tests,
 ``shift_down``, ``==`` and ``hash`` reduce once and then read the
 integer; only ``coeffs``, ``repr`` and ``embed`` unpack digits.  Unit
@@ -132,8 +132,9 @@ def _kernel_slots(p: int, n: int):
 class DVRConfig:
     """Residue characteristic p and truncation order N of a working ring.
 
-    Its slot layout is derived once per (p, N), by ``_layout``, and shared
-    by every config of that (p, N)."""
+    Its slot layout comes from ``_layout``.  For N up to
+    ``_MEMO_PRECISION`` it is derived once per (p, N) and shared by every
+    config of that (p, N)."""
 
     p: int
     precision: int = DEFAULT_PRECISION
@@ -142,24 +143,23 @@ class DVRConfig:
     _mask: int = field(init=False, repr=False, compare=False)  # the low N slots
     _ones: int = field(init=False, repr=False, compare=False)  # 1 in each of them
     _cap: int = field(init=False, repr=False, compare=False)  # the largest slot value
+    _two_slots: int = field(init=False, repr=False, compare=False)  # packs of slots 0, 1 lie below
     # for strides s = 2, 3: (1 at the start of every s-th slot, all bits of those slots)
     _fields: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        vars(self).update(zip(_LAYOUT, _layout(self.p, self.precision)))
+        layout = _memo_layout if self.precision <= _MEMO_PRECISION else _layout
+        # one attribute at a time, as the dataclass sets p and precision: an
+        # update of vars(self) makes every later read of a layout field slower
+        for name, value in zip(_LAYOUT, layout(self.p, self.precision)):
+            object.__setattr__(self, name, value)
 
 
-_LAYOUT = ("_slots", "_bits", "_mask", "_ones", "_cap", "_fields")
+_LAYOUT = ("_slots", "_bits", "_mask", "_ones", "_cap", "_two_slots", "_fields")
 
 
-@lru_cache(maxsize=32, typed=True)
 def _layout(p, n) -> tuple:
-    """The checked layout of a config: the values of ``_LAYOUT``, in order.
-
-    A memo of immutable values, so that a process that builds the same
-    (p, N) again (every parsed CLI call does) derives them once.  It is
-    keyed by type too, so 5.0 never finds 5's layout, and an invalid
-    (p, N) raises on every call."""
+    """The checked layout of a config: the values of ``_LAYOUT``, in order."""
     if not _is_prime(p):
         raise SpecInvariantViolation(f"residue characteristic {p} is not prime")
     if n < 2:
@@ -168,7 +168,18 @@ def _layout(p, n) -> tuple:
     bits = 8 * slots[1]
     cap = (1 << bits) - 1
     fields = tuple((f, f * cap) for f in (_field_starts(bits, n, s) for s in (2, 3)))
-    return slots, bits, (1 << (bits * n)) - 1, _field_starts(bits, n, 1), cap, fields
+    mask, ones = (1 << (bits * n)) - 1, _field_starts(bits, n, 1)
+    return slots, bits, mask, ones, cap, 1 << 2 * bits, fields
+
+
+# A memo of immutable layouts, so that a process that builds the same (p, N)
+# again (every parsed CLI call does) derives it once.  It is keyed by type
+# too, so 5.0 never finds 5's layout, and an invalid (p, N) raises on every
+# call.  It holds layouts of at most 256 slots only: 32 of them take at
+# most 0.45 MB for p < 2^31 (14 KB each) and 1.2 MB near the primality
+# bound.  A larger N costs far more to work in than to lay out.
+_MEMO_PRECISION = 256
+_memo_layout = lru_cache(maxsize=32, typed=True)(_layout)
 
 
 def _field_starts(bits: int, n: int, stride: int) -> int:
@@ -277,7 +288,9 @@ class TruncSeries:
 
     @classmethod
     def from_int(cls, value: int, config: DVRConfig) -> "TruncSeries":
-        return cls((value,), config)
+        if not isinstance(value, int):
+            raise SpecInvariantViolation(f"coefficient {value!r} is not an integer")
+        return _packed_series(value % config.p, config.p - 1, config)
 
     @classmethod
     def uniformizer(cls, config: DVRConfig, power: int = 1) -> "TruncSeries":
@@ -315,10 +328,13 @@ class TruncSeries:
     def _times(self, packed: int) -> "TruncSeries":
         """Product with a reduced pack, masked to N slots.
 
-        A pack with a single set bit, at bit j of slot k, is c*pi^k with c =
-        2^j < p: the product is then a shift, with top (p-1)*c."""
+        A pack below ``_two_slots`` with a single set bit, at bit j of slot
+        k, is c*pi^k with c = 2^j < p and k <= 1 (1, 2, 4, pi, t's
+        coefficient, ...): the product is then a shift, with top (p-1)*c.
+        The comparison rejects every other pack, a dense one included,
+        before its bits are counted."""
         cfg = self.config
-        if packed.bit_count() == 1:
+        if packed < cfg._two_slots and packed.bit_count() == 1:
             m = packed.bit_length() - 1
             return _packed_series(
                 self._pack(True) << m & cfg._mask, (cfg.p - 1) << m % cfg._bits, cfg
@@ -422,7 +438,7 @@ class TruncSeries:
     def __eq__(self, other):
         return (
             isinstance(other, TruncSeries)
-            and (self.config is other.config or self.config == other.config)
+            and self.config == other.config
             and self._pack(True) == other._pack(True)
         )
 
@@ -506,9 +522,7 @@ class EisensteinPoly:
         if not coeffs:
             raise SpecInvariantViolation("Eisenstein polynomial needs degree >= 1")
         for c in coeffs:
-            if not isinstance(c, TruncSeries) or (
-                c.config is not self.config and c.config != self.config
-            ):
+            if not isinstance(c, TruncSeries) or c.config != self.config:
                 raise ConfigMismatch("coefficient over a different configuration")
         if coeffs[0].valuation != 1:
             raise SpecInvariantViolation(

@@ -90,9 +90,8 @@ DEFAULT_DEGREE_BOUND = 12
 class PolyAlgebra:
     """One-variable polynomials over the truncated ring, degree <= D, as
     coefficient tuples (low to high) with no trailing zero.  ``polynomial``
-    validates its input; ``add``, ``sub`` and ``mul`` take such tuples, check
-    every coefficient's configuration and work on the nonzero coefficients
-    only."""
+    validates its input; ``add`` and ``mul`` take such tuples, check every
+    coefficient's configuration and work on the nonzero coefficients only."""
 
     config: DVRConfig
     degree_bound: int = DEFAULT_DEGREE_BOUND
@@ -117,9 +116,7 @@ class PolyAlgebra:
     def polynomial(self, coeffs):
         out = []
         for c in coeffs:
-            if not isinstance(c, TruncSeries) or (
-                c.config is not self.config and c.config != self.config
-            ):
+            if not isinstance(c, TruncSeries) or c.config != self.config:
                 raise ConfigMismatch("coefficient over a different configuration")
             out.append(c)
         return self._trimmed(out)
@@ -142,22 +139,10 @@ class PolyAlgebra:
         return terms
 
     def add(self, f, g):
-        return self._sum(f, g, False)
-
-    def sub(self, f, g):
-        return self._sum(f, g, True)
-
-    def _sum(self, f, g, negate):
-        """f + g, or f - g with ``negate``; no negated copy of g is built."""
         zero = TruncSeries.zero(self.config)
         out = [zero] * max(len(f), len(g))
-        for i, c in self._terms(f):
-            out[i] = c
-        for i, c in self._terms(g):
-            if out[i] is zero:
-                out[i] = -c if negate else c
-            else:
-                out[i] = out[i] - c if negate else out[i] + c
+        for i, c in self._terms(f) + self._terms(g):
+            out[i] = c if out[i] is zero else out[i] + c
         return self._trimmed(out)
 
     def mul(self, f, g):
@@ -193,8 +178,7 @@ class WildPointGluing(GluingSpec):
     eisenstein: EisensteinPoly
 
     def __post_init__(self):
-        config = self.algebra.config
-        if self.eisenstein.config is not config and self.eisenstein.config != config:
+        if self.eisenstein.config != self.algebra.config:
             raise ConfigMismatch("polynomial and algebra configurations differ")
         if self.eisenstein.degree > self.algebra.degree_bound:
             raise DegreeBound("Eisenstein degree exceeds the slice bound")

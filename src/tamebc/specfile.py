@@ -18,7 +18,7 @@ import operator
 import re
 from fractions import Fraction
 
-from .dvr import DEFAULT_PRECISION, DVRConfig, EisensteinPoly, TruncSeries, _packed_series
+from .dvr import DEFAULT_PRECISION, DVRConfig, EisensteinPoly, TruncSeries
 from .errors import SpecFileError, SpecInvariantViolation
 from .jumps import MAX_NESTING, JumpMultiset, Torus, parse_torus, render_torus
 from .lattice import FiniteAbelianGroup, GLattice, LatticeMap
@@ -191,11 +191,11 @@ def parse_okt_expr(text: str, algebra: PolyAlgebra):
     """Parse a polynomial in t over O_K written with 'pi' and 't';
     returns the coefficient tuple (low to high).  Every subexpression
     must stay within the algebra's degree bound."""
-    config, p = algebra.config, algebra.config.p
+    config = algebra.config
     pi, t = (TruncSeries.uniformizer(config),), (TruncSeries.zero(config), TruncSeries.one(config))
 
-    def const(c):  # packed straight into slot 0
-        return (_packed_series(c % p, p - 1, config),) if c % p else ()
+    def const(c):
+        return (TruncSeries.from_int(c, config),) if c % config.p else ()
 
     def var(name):
         if name == "pi":
@@ -204,7 +204,10 @@ def parse_okt_expr(text: str, algebra: PolyAlgebra):
             return t
         raise SpecFileError(f"unknown variable {name!r}; expected pi or t")
 
-    return _ExprParser(_tokenize(text), const, var, algebra.add, algebra.sub, algebra.mul).parse()
+    def sub(f, g):
+        return algebra.add(f, tuple(-c for c in g))
+
+    return _ExprParser(_tokenize(text), const, var, algebra.add, sub, algebra.mul).parse()
 
 
 def parse_eisenstein(text: str, algebra: PolyAlgebra) -> EisensteinPoly:

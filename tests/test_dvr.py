@@ -457,7 +457,8 @@ class TestReduce:
 
 
 # ---------------------------------------------------------------------------
-# products by c*pi^k, c a power of two below p: a shift, with top (p-1)*c
+# products by c*pi^k, c a power of two below p: for k <= 1 a shift, with
+# top (p-1)*c; for k = N - 1 the general product
 # ---------------------------------------------------------------------------
 
 def raw_slots(packed, cfg):
@@ -473,7 +474,7 @@ def single_bit_sweep(ring, seed):
     general product's (one big-integer multiply of the reduced packs,
     reduced slot by slot), or whose pack has a slot above its declared
     top.  x is random digits with x_0 = p - 1, once reduced and once as
-    x + x, whose top is 2*(p-1)."""
+    x + x, whose top is 2*(p-1).  Only k <= 1 takes the shift."""
     rng = random.Random(seed)
     mismatches = []
     for p in REDUCE_PRIMES:
@@ -601,6 +602,13 @@ class TestDVRConfig:
         assert a is not b and a == b
         assert a._mask is b._mask and a._fields is b._fields
         assert DVRConfig(7, 97)._mask != a._mask
+
+    def test_memo_keeps_no_layout_above_its_precision(self):
+        n = dvr._MEMO_PRECISION
+        assert DVRConfig(7, n)._mask is DVRConfig(7, n)._mask
+        a, b = DVRConfig(7, n + 1), DVRConfig(7, n + 1)
+        assert a._mask is not b._mask and a._mask == b._mask
+        assert a._fields == b._fields and a._two_slots == b._two_slots
 
     def test_invalid_config_raises_every_time(self):
         for _ in range(2):
