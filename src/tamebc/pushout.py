@@ -12,7 +12,9 @@ gluings are supported:
 
 Membership and the nilpotent witness work on the given polynomial;
 wild-point membership is n - 1 dot products of f with the rows t^k mod P
-that each gluing builds once, on demand.  The Tor obstruction to base
+that each gluing builds once, on demand, after a test mod pi: a member
+reduces into k + (t^n) (base change to k, below), so a unit coefficient
+of t^j, 0 < j < n, answers False at once.  The Tor obstruction to base
 change, module generation of A over A' and the comparison of "tensor
 then glue" against "glue then tensor" depend only on the gluing kind,
 and for a tame base change of two-points on its degree d, so each
@@ -207,7 +209,9 @@ def fiber_membership(f, spec: GluingSpec) -> bool:
     r_j = f_j + sum over k >= n of f_k * (t^k mod P)[j] (von zur Gathen
     and Gerhard, Modern Computer Algebra, section 9), so r_1 .. r_(n-1)
     are n - 1 dot products of f's high part with the rows t^k mod P
-    cached on the gluing.
+    cached on the gluing.  Mod pi first (ibid., chapter 5): P = t^n mod pi
+    puts every row in pi*O_K[t], so r_j = f_j mod pi, and a unit f_j with
+    0 < j < n answers False before any row is built.
     """
     f = spec.algebra.polynomial(f)
     if _two_points(spec):
@@ -219,6 +223,8 @@ def fiber_membership(f, spec: GluingSpec) -> bool:
     n = P.degree
     if n == 1:  # every f is a constant mod a P of degree 1
         return True
+    if any(c.is_unit() for c in f[1:n]):  # r_j = f_j mod pi is a unit
+        return False
     rows = spec._powers
     zero = TruncSeries.zero(P.config)
     high = range(n, len(f))

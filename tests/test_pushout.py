@@ -307,7 +307,9 @@ def test_cached_rows_serve_any_order(shape):
             assert want in (None, got)
 
 
-def test_errors_come_before_any_row(monkeypatch):
+@pytest.fixture
+def row_calls(monkeypatch):
+    """The calls membership makes to build a row t^k mod P, as they happen."""
     calls = []
 
     def counted(*args):
@@ -315,20 +317,49 @@ def test_errors_come_before_any_row(monkeypatch):
         return _poly_mod(*args)
 
     monkeypatch.setattr(pushout_module, "_poly_mod", counted)
+    return calls
+
+
+def test_errors_come_before_any_row(row_calls):
     spec = wild(2)
     with pytest.raises(DegreeBound):
         fiber_membership([one()] * 8, spec)
     with pytest.raises(ConfigMismatch):
         fiber_membership([one(), one(), one(DVRConfig(2, 33))], spec)
-    assert calls == []
+    assert row_calls == []
     # the counter is live: t^6 = pi^3 mod t^2 - pi, from t^2 = pi in four steps
     assert fiber_membership([zero()] * 6 + [one()], spec)
-    assert len(calls) == 4
+    assert len(row_calls) == 4
+
+
+def test_unit_middle_coefficient_answers_before_any_row(row_calls, monkeypatch):
+    # t^6 + t: its t-coefficient is a unit, so r_1 = 1 mod pi, with no row and no product
+    products = []
+    real_mul = TruncSeries.__mul__
+
+    def counted_mul(a, b):
+        products.append((a, b))
+        return real_mul(a, b)
+
+    monkeypatch.setattr(TruncSeries, "__mul__", counted_mul)
+    f = [zero(), one()] + [zero()] * 4 + [one()]
+    assert not fiber_membership(f, wild(2))
+    assert row_calls == [] and products == []
+    # its twin pi*t: r_1 = pi is 0 mod pi, so the rows are built, and r = pi^3 + pi*t
+    f[1] = pi()
+    assert not fiber_membership(f, wild(2))
+    assert len(row_calls) == 4 and products
 
 
 MEMBERSHIP_MUTANTS = {
     "tested-range-from-2": ("for j in range(1, n):", "for j in range(2, n):"),
     "row-from-seed": ("[zero] + rows[k - 1]", "[zero] + rows[n]"),
+    # the exit mod pi: a unit constant, a unit t^n coefficient and a nonzero
+    # multiple of pi at t^j are each found in members
+    "unit-exit-from-0": ("for c in f[1:n]):", "for c in f[0:n]):"),
+    "unit-exit-to-n": ("for c in f[1:n]):", "for c in f[1:n + 1]):"),
+    "unit-exit-on-nonzero": ("any(c.is_unit() for c in f[1:n])",
+                             "any(not c.is_zero() for c in f[1:n])"),
 }
 # the mutant takes the real module's gluing specs; each sweep builds fresh
 # gluings, so rows cached by the real module cannot hide a mutant's rows
